@@ -16,6 +16,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import dense, graph, io as tio, scheduler, semiring as sr, spectral
 from .bench import BENCH_OPS, run_bench
 from .dense import DenseMatrix
@@ -42,7 +44,12 @@ def _fmt_float(v: float):
 
 
 def _matrix_payload(m: DenseMatrix) -> list[list]:
-    return [[_fmt_val(v) for v in row] for row in m.to_rows()]
+    arr = m._arr
+    rows = arr.tolist()
+    if arr.min() == NEG_INF or arr.max() == POS_INF:
+        for i, j in zip(*np.nonzero((arr == NEG_INF) | (arr == POS_INF))):
+            rows[i][j] = _fmt_val(rows[i][j])
+    return rows
 
 
 def _read_file(path: str) -> str:
@@ -52,16 +59,28 @@ def _read_file(path: str) -> str:
         raise GraphParseError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
-def _load_graph(path: str, want_sparse: bool):
-    return tio.parse_graph(_read_file(path), sparse=want_sparse)
+def _load_graph(path: str, want_sparse: bool, closure_guard: int | None = None):
+    """Parse a graph file; with a guard, refuse an oversized header before
+    any matrix storage is built."""
+    check = None
+    if closure_guard is not None:
+        check = lambda rows, cols: _guard_closure(rows, cols, closure_guard)
+    return tio.parse_graph(_read_file(path), sparse=want_sparse, check_shape=check)
 
 
-def _guard_closure(n: int, guard: int) -> None:
-    if n > guard:
+def _guard_closure(rows: int, cols: int, guard: int) -> None:
+    if max(rows, cols) > guard:
         raise _GuardRefusal(
-            f"refusing closure of a {n}x{n} matrix (guard is {guard}; "
+            f"refusing closure of a {rows}x{cols} matrix (guard is {guard}; "
             f"raise --closure-guard to override)"
         )
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 class _GuardRefusal(Exception):
@@ -83,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
         if guard:
             c.add_argument(
                 "--closure-guard",
-                type=int,
+                type=_non_negative_int,
                 default=DEFAULT_CLOSURE_GUARD,
                 help="largest n accepted for the cubic closure sweep",
             )
@@ -126,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--reps", type=int, default=3)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument(
-        "--closure-guard", type=int, default=DEFAULT_CLOSURE_GUARD,
+        "--closure-guard", type=_non_negative_int, default=DEFAULT_CLOSURE_GUARD,
         help="largest n accepted for the closure benchmark",
     )
     c.add_argument("--json", action="store_true")
@@ -134,18 +153,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # -- subcommand handlers: each returns (payload, text_lines) -------------------
+# Matrix commands leave text_lines as None under --json: rendering n^2 values
+# as text is only worth it when the text is printed.
+
+def _matrix_result(args, payload: dict, m: DenseMatrix):
+    payload["matrix"] = _matrix_payload(m)
+    return payload, None if args.json else _matrix_lines(payload["matrix"])
+
 
 def _cmd_closure(args):
-    m, s = _load_graph(args.file, args.sparse)
-    _guard_closure(m.rows, args.closure_guard)
+    m, s = _load_graph(args.file, args.sparse, args.closure_guard)
     result = graph.all_pairs_paths(m, s)
-    payload = {
-        "command": "closure",
-        "semiring": sr.TOKEN_OF[s],
-        "n": result.rows,
-        "matrix": _matrix_payload(result),
-    }
-    return payload, _matrix_lines(payload["matrix"])
+    payload = {"command": "closure", "semiring": sr.TOKEN_OF[s], "n": result.rows}
+    return _matrix_result(args, payload, result)
 
 
 def _cmd_apsp(args):
@@ -155,34 +175,19 @@ def _cmd_apsp(args):
 
 
 def _cmd_reach(args):
-    m, s = _load_graph(args.file, args.sparse)
-    _guard_closure(m.rows, args.closure_guard)
-    if isinstance(m, DenseMatrix):
-        z = sr.zero(s)
-        m = DenseMatrix([[1 if v != z else 0 for v in row] for row in m.to_rows()])
-    result = graph.reachability(m)
-    payload = {
-        "command": "reach",
-        "semiring": "boolean",
-        "n": result.rows,
-        "matrix": _matrix_payload(result),
-    }
-    return payload, _matrix_lines(payload["matrix"])
+    m, s = _load_graph(args.file, args.sparse, args.closure_guard)
+    result = graph.reachability(m, s)
+    payload = {"command": "reach", "semiring": "boolean", "n": result.rows}
+    return _matrix_result(args, payload, result)
 
 
 def _cmd_bottleneck(args):
-    m, s = _load_graph(args.file, args.sparse)
+    m, s = _load_graph(args.file, args.sparse, args.closure_guard)
     if s is not SemiringId.MAXMIN:
         raise ValueError("bottleneck requires a maxmin graph file")
-    _guard_closure(m.rows, args.closure_guard)
     result = graph.bottleneck_paths(m)
-    payload = {
-        "command": "bottleneck",
-        "semiring": "maxmin",
-        "n": result.rows,
-        "matrix": _matrix_payload(result),
-    }
-    return payload, _matrix_lines(payload["matrix"])
+    payload = {"command": "bottleneck", "semiring": "maxmin", "n": result.rows}
+    return _matrix_result(args, payload, result)
 
 
 def _cmd_sssp(args):
@@ -206,13 +211,9 @@ def _cmd_matmul(args):
         )
     c = dense.matmul(a, b, s_a)
     payload = {
-        "command": "matmul",
-        "semiring": sr.TOKEN_OF[s_a],
-        "rows": c.rows,
-        "cols": c.cols,
-        "matrix": _matrix_payload(c),
+        "command": "matmul", "semiring": sr.TOKEN_OF[s_a], "rows": c.rows, "cols": c.cols
     }
-    return payload, _matrix_lines(payload["matrix"])
+    return _matrix_result(args, payload, c)
 
 
 def _require_maxplus(s: SemiringId, what: str) -> None:
@@ -315,7 +316,7 @@ def _cmd_schedule(args):
 def _cmd_bench(args):
     s = sr.parse_semiring(args.semiring)
     if args.op == "closure":
-        _guard_closure(args.size, args.closure_guard)
+        _guard_closure(args.size, args.size, args.closure_guard)
     report = run_bench(args.op, args.size, s, args.reps, args.seed)
     payload = {
         "command": "bench",

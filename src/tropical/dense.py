@@ -3,7 +3,8 @@
 Every operation takes the semiring explicitly; matrices carry no semiring of
 their own. Two implementations exist for the heavy kernels:
 
-* the default vectorized kernels (numpy, int64 intermediates), and
+* the default vectorized kernels (numpy; int64 intermediates wherever a
+  plus-semiring sum could overflow int32), and
 * ``*_reference`` scalar kernels (plain Python triple loops over the scalar
   semiring operations).
 
@@ -245,46 +246,150 @@ def closure(a: DenseMatrix, s: SemiringId) -> DenseMatrix:
 
 
 def _closure_kernel(a: DenseMatrix, s: SemiringId) -> np.ndarray:
-    """Vectorized sweep, staged to replay the scalar i-then-j loop exactly.
+    """Vectorized sweep, bit-identical to the scalar i-then-j loop.
 
-    Within pass k the scalar loop mutates column k (at j == k) and row k (at
-    i == k) while still reading them, so the update is split into rows above
-    k, row k itself (with D_kk refreshed mid-row), and rows below k.
+    After the diagonal step, pass k of the scalar loop mutates row k and
+    column k while still reading them. When D_kk == one(s) the rewrites are
+    no-ops (x (+) x (x) one == x by idempotence), so the whole pass is one
+    rank-1 update D <- D (+) D[:, k] (x) D[k, :] read from the pass-start
+    values. The lattice semirings (maxmin, minmax, boolean) always satisfy
+    this: absorption, x (+) (x (x) y) == x, keeps row and column k fixed
+    whatever D_kk is; they run in place on int32, or on bool for 0/1 input.
+    Min-plus and max-plus run on int64 with the zero held as the wide
+    constant -/+_WIDE, decoded to its sentinel once at the end. Only a
+    divergent pass of theirs (min-plus D_kk < 0, max-plus D_kk > 0) replays
+    the scalar order in stages.
     """
     if a.rows != a.cols:
         raise ValueError("closure requires a square matrix")
-    n = a.rows
-    d = a._arr.astype(_I64)
-    one64 = _I64(sr.one(s))
-    d[np.diag_indices(n)] = _ew_add(np.diagonal(d).copy(), one64, s)
+    arr = a._arr
+    if s is SemiringId.MAXPLUS or s is SemiringId.MINPLUS:
+        return _closure_plus(arr, s)
+    if s is SemiringId.BOOLEAN and arr.min() >= 0 and arr.max() <= 1:
+        return _closure_bool(arr)
+    return _closure_lattice(arr, s)
+
+
+# Wide int64 stand-in for the zero of a plus semiring during the sweep: the
+# min-plus zero is +_WIDE, the max-plus zero -_WIDE. x (x) zero needs no mask,
+# since zero + x stays beyond _WIDE_CUT for every finite x, and _WIDE + _WIDE
+# fits in int64. A zero-derived entry drifts by at most 2^31 per pass, so it
+# stays beyond the cut for any n < 2^29, far more than an n x n array holds.
+_WIDE = _I64(2**61)
+_WIDE_CUT = _I64(2**60)
+
+# Elements of the int64 product buffer of a plus-semiring closure pass: the
+# rank-1 update runs in row chunks of this size, which stay in cache.
+_CLOSURE_CHUNK = 1 << 15
+
+# (x) and (+) of the semirings whose closure passes are all rank-1 updates
+_LATTICE_OPS = {
+    SemiringId.MAXMIN: (np.minimum, np.maximum),
+    SemiringId.MINMAX: (np.maximum, np.minimum),
+    SemiringId.BOOLEAN: (np.bitwise_and, np.bitwise_or),
+}
+
+
+def _closure_plus(arr: np.ndarray, s: SemiringId) -> np.ndarray:
+    """Min-plus / max-plus sweep on the wide encoding, decoded once at the end.
+
+    A rank-1 pass saturates only when a finite sum can leave
+    [FINITE_MIN, FINITE_MAX]; the O(n) bound check on row and column k
+    decides whether the n^2 clip runs.
+    """
+    if s is SemiringId.MINPLUS:
+        zero_w, add = _WIDE, np.minimum
+
+        def is_zero(v):
+            return v > _WIDE_CUT
+    else:
+        zero_w, add = -_WIDE, np.maximum
+
+        def is_zero(v):
+            return v < -_WIDE_CUT
+
+    n = arr.shape[0]
+    d = arr.astype(_I64)
+    d[arr == sr.zero(s)] = zero_w
+    d[np.diag_indices(n)] = add(np.diagonal(d), 0)
+    step = max(1, _CLOSURE_CHUNK // n)
+    buf = np.empty(min(n, step) * n, dtype=_I64)
+
+    def relax(block, col, row, exact=True):
+        """block (+)= col (x) row, a chunk of rows at a time through buf.
+        exact=False skips the clip and the zero reset: the caller has checked
+        that no finite sum leaves the finite range."""
+        for i0 in range(0, block.shape[0], step):
+            part = block[i0 : i0 + step]
+            out = buf[: part.size].reshape(part.shape)
+            np.add(col[i0 : i0 + step, None], row, out=out)
+            if exact:
+                zero = is_zero(out)
+                np.clip(out, _LO, _HI, out=out)
+                np.copyto(out, zero_w, where=zero)
+            add(part, out, out=part)
+
     for k in range(n):
-        rowk = d[k]
-        # rows i < k: row k is still pre-update here
-        if k > 0:
-            top = d[:k]
-            colk = top[:, k].copy()
-            top[:, :k] = _ew_add(top[:, :k], _ew_mul(colk[:, None], rowk[None, :k], s), s)
-            colk_new = _ew_add(colk, _ew_mul(colk, rowk[k], s), s)
-            top[:, k] = colk_new
-            top[:, k + 1 :] = _ew_add(
-                top[:, k + 1 :], _ew_mul(colk_new[:, None], rowk[None, k + 1 :], s), s
-            )
-        # row i == k: D_kk is read by every j and rewritten at j == k
-        dkk = rowk[k].copy()
-        rowk[:k] = _ew_add(rowk[:k], _ew_mul(dkk, rowk[:k], s), s)
-        dkk_new = _ew_add(dkk, _ew_mul(dkk, dkk, s), s)
-        rowk[k] = dkk_new
-        rowk[k + 1 :] = _ew_add(rowk[k + 1 :], _ew_mul(dkk_new, rowk[k + 1 :], s), s)
-        # rows i > k: row k has been fully updated
-        if k + 1 < n:
-            bot = d[k + 1 :]
-            colk = bot[:, k].copy()
-            bot[:, :k] = _ew_add(bot[:, :k], _ew_mul(colk[:, None], rowk[None, :k], s), s)
-            colk_new = _ew_add(colk, _ew_mul(colk, rowk[k], s), s)
-            bot[:, k] = colk_new
-            bot[:, k + 1 :] = _ew_add(
-                bot[:, k + 1 :], _ew_mul(colk_new[:, None], rowk[None, k + 1 :], s), s
-            )
+        if d[k, k] != 0:
+            _staged_pass(d, k, relax)
+            continue
+        col, row = d[:, k], d[k]
+        col_fin, row_fin = ~is_zero(col), ~is_zero(row)
+        # D_kk == 0 is finite, so both masks select at least one entry
+        saturates = (
+            col.min(where=col_fin, initial=_HI) + row.min(where=row_fin, initial=_HI) < _LO
+            or col.max(where=col_fin, initial=_LO) + row.max(where=row_fin, initial=_LO) > _HI
+        )
+        relax(d, col, row, exact=saturates)
+    d[is_zero(d)] = sr.zero(s)
+    return d.astype(_I32)
+
+
+def _staged_pass(d: np.ndarray, k: int, relax) -> None:
+    """Pass k of the scalar i-then-j loop, replayed exactly.
+
+    The scalar loop rewrites column k (at j == k) and row k (at i == k) while
+    still reading them, so the update is split into rows above k, row k
+    itself (with D_kk refreshed mid-row), and rows below k.
+    """
+    rowk = d[k]
+    # rows i < k: row k is still pre-update here
+    top = d[:k]
+    col = top[:, k].copy()
+    relax(top[:, :k], col, rowk[:k])
+    relax(top[:, k : k + 1], col, rowk[k : k + 1])
+    relax(top[:, k + 1 :], top[:, k], rowk[k + 1 :])
+    # row i == k: D_kk is read by every j and rewritten at j == k
+    dkk = rowk[k : k + 1].copy()
+    relax(rowk[None, :k], dkk, rowk[:k])
+    relax(rowk[None, k : k + 1], dkk, dkk)
+    relax(rowk[None, k + 1 :], rowk[k : k + 1], rowk[k + 1 :])
+    # rows i > k: row k has been fully updated
+    bot = d[k + 1 :]
+    col = bot[:, k].copy()
+    relax(bot[:, :k], col, rowk[:k])
+    relax(bot[:, k : k + 1], col, rowk[k : k + 1])
+    relax(bot[:, k + 1 :], bot[:, k], rowk[k + 1 :])
+
+
+def _closure_lattice(arr: np.ndarray, s: SemiringId) -> np.ndarray:
+    """In-place int32 sweep for maxmin, minmax and non-0/1 boolean input."""
+    mul, add = _LATTICE_OPS[s]
+    d = arr.copy()
+    d[np.diag_indices(d.shape[0])] = add(np.diagonal(d), sr.one(s))
+    buf = np.empty_like(d)
+    for k in range(d.shape[0]):
+        mul(d[:, k, None], d[k], out=buf)
+        add(d, buf, out=d)
+    return d
+
+
+def _closure_bool(arr: np.ndarray) -> np.ndarray:
+    """Reachability sweep on a bool array: every row that reaches k ORs in row k."""
+    d = arr.astype(bool)
+    np.fill_diagonal(d, True)
+    for k in range(d.shape[0]):
+        d[np.flatnonzero(d[:, k])] |= d[k]
     return d.astype(_I32)
 
 

@@ -108,21 +108,19 @@ def all_pairs_paths(a: Matrix, s: SemiringId) -> DenseMatrix:
     return dense.closure(a, s)
 
 
-def reachability(a: Matrix) -> DenseMatrix:
+def reachability(a: Matrix, s: SemiringId = SemiringId.BOOLEAN) -> DenseMatrix:
     """Boolean transitive closure; (i, j) == 1 iff j is reachable from i.
 
-    Dense inputs are normalized entry-wise (nonzero -> 1). For a CSR input
-    the stored pattern is taken as the edge set.
+    A dense entry is an edge iff it differs from zero(s). A CSR matrix
+    stores only entries that differ from its own semiring's zero, so its
+    stored pattern is taken as the edge set.
     """
     n = _square_size(a)
     if isinstance(a, CsrMatrix):
         arr = np.zeros((n, n), dtype=np.int32)
-        ptr = a.row_ptr.tolist()
-        for i in range(n):
-            lo, hi = ptr[i], ptr[i + 1]
-            arr[i, a.col_idx[lo:hi].astype(np.int64)] = 1
+        arr[np.repeat(np.arange(n), np.diff(a.row_ptr)), a.col_idx] = 1
     else:
-        arr = (a._arr != 0).astype(np.int32)
+        arr = (a._arr != sr.zero(s)).astype(np.int32)
     return dense.closure(DenseMatrix._wrap(arr), SemiringId.BOOLEAN)
 
 

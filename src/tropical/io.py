@@ -59,8 +59,13 @@ def _parse_int(tok: str, what: str, lineno: int) -> int:
         raise GraphParseError(f"{what} {tok!r} is not an integer", lineno)
 
 
-def parse_graph(text: str, sparse: bool = False):
-    """Parse a graph file into (DenseMatrix | CsrMatrix, SemiringId)."""
+def parse_graph(text: str, sparse: bool = False, check_shape=None):
+    """Parse a graph file into (DenseMatrix | CsrMatrix, SemiringId).
+
+    ``check_shape(rows, cols)``, when given, runs once the header is read and
+    before any edge is parsed or any matrix storage is built; it refuses a
+    shape by raising.
+    """
     lines = _tokens(text)
     try:
         lineno, header = next(lines)
@@ -88,6 +93,8 @@ def parse_graph(text: str, sparse: bool = False):
         s = sr.parse_semiring(token)
     except ValueError as exc:
         raise GraphParseError(str(exc), lineno) from None
+    if check_shape is not None:
+        check_shape(rows, cols)
 
     entries = []
     for lineno, fields in lines:

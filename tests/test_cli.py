@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -225,6 +226,40 @@ def test_closure_guard(fixtures, capsys):
     )
     assert code == 2
     assert "guard" in err
+
+
+def test_closure_guard_runs_before_the_grid_is_built(tmp_path, capsys):
+    # a 15-byte header must not allocate an n^2 grid before the guard refuses it
+    path = tmp_path / "big.graph"
+    path.write_text("3000 0 minplus\n")
+    for cmd in ("closure", "apsp", "reach"):
+        tracemalloc.start()
+        try:
+            code, _, err = invoke(capsys, cmd, str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "guard" in err
+        assert peak < 2_000_000
+
+
+def test_closure_guard_checks_both_dimensions(tmp_path, capsys):
+    path = tmp_path / "wide.graph"
+    path.write_text("2 3000 0 minplus\n")
+    code, _, err = invoke(capsys, "closure", str(path))
+    assert code == 2
+    assert "guard" in err
+
+
+def test_negative_closure_guard_is_a_usage_error(fixtures, capsys):
+    graph = str(fixtures / "chain3_minplus.graph")
+    assert invoke(capsys, "closure", graph, "--closure-guard", "-1")[0] == 2
+    assert invoke(capsys, "bottleneck", graph, "--closure-guard", "-5")[0] == 2
+    code, _, _ = invoke(
+        capsys, "bench", "--op", "closure", "--size", "4", "--closure-guard", "-1"
+    )
+    assert code == 2
 
 
 def test_bench_report(capsys):

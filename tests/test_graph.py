@@ -159,6 +159,14 @@ def test_reachability_normalizes_dense():
     assert tr.reachability(a).to_rows() == [[1, 1], [0, 1]]
 
 
+def test_reachability_takes_the_semiring():
+    # a 0-weight min-plus edge is an edge; the absent entries hold +inf
+    a = DenseMatrix([[P, 0], [P, P]])
+    assert tr.reachability(a, SemiringId.MINPLUS).to_rows() == [[1, 1], [0, 1]]
+    b = DenseMatrix([[N, 0], [N, N]])
+    assert tr.reachability(b, SemiringId.MAXPLUS).to_rows() == [[1, 1], [0, 1]]
+
+
 def test_orientation_coherence():
     # a single directed edge must never create reverse reachability
     a = DenseMatrix([[0, 1], [0, 0]])
