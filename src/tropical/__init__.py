@@ -27,6 +27,7 @@ from .errors import (
     GraphParseError,
     NegativeCycleError,
     NoCycleError,
+    PositiveCycleError,
     TropicalError,
 )
 from .graph import all_pairs_paths, bottleneck_paths, reachability, sssp
@@ -80,6 +81,7 @@ __all__ = [
     "GraphParseError",
     "NegativeCycleError",
     "NoCycleError",
+    "PositiveCycleError",
     "ScheduleResult",
     "SemiringId",
     "TaskGraph",

@@ -5,8 +5,8 @@ rendering are both generated from that payload, so the two modes always carry
 the same numeric content. Sentinels print as ``inf`` / ``-inf`` in text and
 appear as the strings "inf" / "-inf" in JSON (JSON has no infinities).
 
-Exit codes: 0 success, 1 library-level failure (e.g. a negative cycle), 2
-parse or usage errors.
+Exit codes: 0 success, 1 library-level failure (e.g. a negative cycle, or
+running out of memory), 2 parse or usage errors.
 """
 
 from __future__ import annotations
@@ -128,7 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("eigvec", help="eigenvector by tropical power iteration")
     c.add_argument("file")
     c.add_argument("--eps", type=float, default=1e-9, help="L-infinity tolerance")
-    c.add_argument("--max-iter", type=int, default=None, help="iteration cap (default 10n)")
+    c.add_argument(
+        "--max-iter", type=_non_negative_int, default=None, help="iteration cap (default 10n)"
+    )
     c.add_argument("--json", action="store_true")
 
     c = sub.add_parser("schedule", help="solve a precedence-constrained schedule file")
@@ -136,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--start", type=int, default=0, help="global start-time offset")
     c.add_argument("--json", action="store_true")
 
-    c = sub.add_parser("bench", help="micro-benchmark a dense kernel")
+    c = sub.add_parser("bench", help="micro-benchmark a kernel")
     c.add_argument("--op", choices=BENCH_OPS, required=True)
     c.add_argument("--size", type=int, required=True)
     c.add_argument(
@@ -377,7 +379,7 @@ def run(argv: list[str]) -> int:
     except _GuardRefusal as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except TropicalError as exc:
+    except (TropicalError, MemoryError, OverflowError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -15,6 +15,7 @@ matrices; the test suite enforces this.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -46,10 +47,7 @@ class DenseMatrix:
         ncols = len(data[0])
         if any(len(r) != ncols for r in data):
             raise ValueError("rows have inconsistent lengths")
-        for r in data:
-            for v in r:
-                _check_value(v)
-        self._arr = np.array(data, dtype=_I32)
+        self._arr = _checked_array(data, 2)
 
     @classmethod
     def filled(cls, rows: int, cols: int, value: int) -> "DenseMatrix":
@@ -102,12 +100,31 @@ def _check_value(v) -> None:
         raise ValueError(f"value {v} outside the 32-bit tropical range")
 
 
+def _checked_array(data, ndim: int) -> np.ndarray:
+    """int32 array of a vector (ndim 1) or a rectangular matrix (ndim 2) of
+    tropical values, checked as a whole; a bad value raises the error of the
+    first one in row-major order."""
+    try:
+        arr = np.asarray(data)
+    except (ValueError, TypeError, OverflowError):
+        arr = None
+    if (
+        arr is not None
+        and arr.ndim == ndim
+        and arr.dtype.kind in "biu"
+        and sr.NEG_INF <= arr.min()
+        and arr.max() <= sr.POS_INF
+    ):
+        return arr.astype(_I32)
+    for v in data if ndim == 1 else chain.from_iterable(data):
+        _check_value(v)
+    return np.array(data, dtype=_I32)
+
+
 def _check_vector(x: Sequence[int]) -> np.ndarray:
     if len(x) < 1:
         raise ValueError("vector must have at least one element")
-    for v in x:
-        _check_value(v)
-    return np.array(x, dtype=_I32)
+    return _checked_array(x, 1)
 
 
 def identity(n: int, s: SemiringId) -> DenseMatrix:
@@ -129,18 +146,19 @@ def elementwise_add(a: DenseMatrix, b: DenseMatrix, s: SemiringId) -> DenseMatri
         raise ValueError(
             f"shape mismatch for elementwise add: {a._arr.shape} vs {b._arr.shape}"
         )
-    out = _ew_add(a._arr.astype(_I64), b._arr.astype(_I64), s)
-    return DenseMatrix._wrap(out.astype(_I32))
+    return DenseMatrix._wrap(ADD_UFUNC[s](a._arr, b._arr))
 
 
 # -- elementwise kernels on int64 arrays ------------------------------------
 
-def _ew_add(u: np.ndarray, v: np.ndarray, s: SemiringId) -> np.ndarray:
-    if s is SemiringId.MAXPLUS or s is SemiringId.MAXMIN:
-        return np.maximum(u, v)
-    if s is SemiringId.MINPLUS or s is SemiringId.MINMAX:
-        return np.minimum(u, v)
-    return u | v
+# (+) of each semiring as a numpy ufunc: elementwise, reduce, reduceat and at
+ADD_UFUNC = {
+    SemiringId.MAXPLUS: np.maximum,
+    SemiringId.MINPLUS: np.minimum,
+    SemiringId.MAXMIN: np.maximum,
+    SemiringId.MINMAX: np.minimum,
+    SemiringId.BOOLEAN: np.bitwise_or,
+}
 
 
 def _ew_mul(u: np.ndarray, v: np.ndarray, s: SemiringId) -> np.ndarray:
@@ -160,11 +178,7 @@ def _ew_mul(u: np.ndarray, v: np.ndarray, s: SemiringId) -> np.ndarray:
 
 
 def _fold_add(prod: np.ndarray, axis: int, s: SemiringId) -> np.ndarray:
-    if s is SemiringId.MAXPLUS or s is SemiringId.MAXMIN:
-        return prod.max(axis=axis)
-    if s is SemiringId.MINPLUS or s is SemiringId.MINMAX:
-        return prod.min(axis=axis)
-    return np.bitwise_or.reduce(prod, axis=axis)
+    return ADD_UFUNC[s].reduce(prod, axis=axis)
 
 
 # -- products ----------------------------------------------------------------
@@ -200,7 +214,11 @@ def vecmat(x: Sequence[int], a: DenseMatrix, s: SemiringId) -> list[int]:
     xv = _check_vector(x)
     if a.rows != xv.shape[0]:
         raise ValueError(f"matrix has {a.rows} rows but vector has {xv.shape[0]}")
-    prod = _ew_mul(xv.astype(_I64)[:, None], a._arr.astype(_I64), s)
+    # a row with x_i == zero(s) contributes zero(s), the identity of (+)
+    live = np.flatnonzero(xv != sr.zero(s))
+    if not live.size:
+        return [sr.zero(s)] * a.cols
+    prod = _ew_mul(xv[live, None].astype(_I64), a._arr[live].astype(_I64), s)
     return _fold_add(prod, 0, s).astype(_I32).tolist()
 
 

@@ -22,6 +22,14 @@ class NegativeCycleError(TropicalError):
         self.matrix = matrix
 
 
+class PositiveCycleError(TropicalError):
+    """A max-plus computation detected a positive-weight cycle.
+
+    Longest-path values through such a cycle grow without bound, so the
+    relaxation has no fixed point.
+    """
+
+
 class NoCycleError(TropicalError):
     """The graph contains no cycle, so no cycle mean / period exists."""
 

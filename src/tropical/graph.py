@@ -3,8 +3,11 @@
 Convention: entry A_ij is the weight of the edge from vertex i to vertex j;
 an absent edge holds the semiring zero. Because of that orientation, the
 single-source relaxation propagates with the transpose-style product
-(vecmat / spmv on the transposed CSR), so the result reads "best path value
-from the source to i".
+x vecmat A, so the result reads "best path value from the source to i".
+
+Dense and CSR ``sssp`` and the scheduler share one relaxation loop over
+arrays, ``relax``; only the per-round product differs: ``dense.vecmat`` with
+A, or ``sparse.spmv`` with A^T, which is built once per call.
 """
 
 from __future__ import annotations
@@ -15,11 +18,18 @@ import numpy as np
 
 from . import dense, semiring as sr, sparse
 from .dense import DenseMatrix
-from .errors import NegativeCycleError
+from .errors import NegativeCycleError, PositiveCycleError
 from .semiring import SemiringId
 from .sparse import CsrMatrix
 
 Matrix = Union[DenseMatrix, CsrMatrix]
+
+# the error raised when single-source relaxation does not stabilize, and the
+# sign of the cycle that keeps improving the paths through it
+_DIVERGENCE = {
+    SemiringId.MINPLUS: (NegativeCycleError, "negative"),
+    SemiringId.MAXPLUS: (PositiveCycleError, "positive"),
+}
 
 
 def _square_size(a: Matrix) -> int:
@@ -39,8 +49,9 @@ def sssp(
 
     d starts at zero(s) everywhere except one(s) at the source, then relaxes
     d <- d (+) (d vecmat A) for at most n-1 rounds, stopping early once d is
-    stable. Under min-plus, failure to stabilize means a negative cycle is
-    reachable and NegativeCycleError is raised.
+    stable. Under min-plus and max-plus, failure to stabilize means that a
+    cycle which improves every path through it is reachable from the source:
+    NegativeCycleError (min-plus) or PositiveCycleError (max-plus) is raised.
     """
     n = _square_size(a)
     if not 0 <= source < n:
@@ -50,50 +61,48 @@ def sssp(
             raise ValueError(
                 f"matrix is bound to {a.semiring.name.lower()} but {s.name.lower()} requested"
             )
-        return _sssp_sparse(a, source, s, early_exit)
-
-    cur = [sr.zero(s)] * n
-    cur[source] = sr.one(s)
-    for _ in range(n - 1):
-        relaxed = dense.vecmat(cur, a, s)
-        nxt = [sr.add(x, y, s) for x, y in zip(cur, relaxed)]
-        if nxt == cur and early_exit:
-            return cur
-        cur = nxt
-    _check_stable_minplus(cur, lambda v: dense.vecmat(v, a, s), s)
-    return cur
-
-
-def _sssp_sparse(a: CsrMatrix, source: int, s: SemiringId, early_exit: bool) -> list[int]:
-    n = a.rows
-    # transpose once so each round is a plain O(nnz) spmv
-    ptr = a.row_ptr.tolist()
-    triplets = []
-    for i in range(n):
-        for p in range(ptr[i], ptr[i + 1]):
-            triplets.append((int(a.col_idx[p]), i, int(a.values[p])))
-    at = sparse.from_triplets(n, n, triplets, s)
-    cur = [sr.zero(s)] * n
-    cur[source] = sr.one(s)
-    for _ in range(n - 1):
-        relaxed = sparse.spmv(at, cur)
-        nxt = [sr.add(x, y, s) for x, y in zip(cur, relaxed)]
-        if nxt == cur and early_exit:
-            return cur
-        cur = nxt
-    _check_stable_minplus(cur, lambda v: sparse.spmv(at, v), s)
-    return cur
+        at = sparse.transpose(a)
+        product = lambda x: sparse.spmv(at, x)
+    else:
+        product = lambda x: dense.vecmat(x, a, s)
+    z = sr.zero(s)
+    d = np.full(n, z, dtype=np.int64)
+    d[source] = sr.one(s)
+    d, frontier, _ = relax(d, product, s, n - 1, early_exit)
+    # after n-1 rounds, d is a fixed point iff one more round changes nothing
+    if s in _DIVERGENCE and (frontier != z).any():
+        if not np.array_equal(dense.ADD_UFUNC[s](d, product(frontier)), d):
+            error, sign = _DIVERGENCE[s]
+            raise error(
+                "single-source paths did not stabilize within n-1 rounds "
+                f"({sign} cycle reachable from the source)"
+            )
+    return d.tolist()
 
 
-def _check_stable_minplus(cur, relax, s: SemiringId) -> None:
-    if s is not SemiringId.MINPLUS:
-        return
-    relaxed = relax(cur)
-    if [sr.add(x, y, s) for x, y in zip(cur, relaxed)] != cur:
-        raise NegativeCycleError(
-            "single-source paths did not stabilize within n-1 rounds "
-            "(negative cycle reachable from the source)"
-        )
+def relax(d: np.ndarray, product, s: SemiringId, rounds: int, early_exit: bool = True):
+    """Up to ``rounds`` rounds of d <- d (+) product(d), the relaxation that
+    single-source paths and the scheduler share.
+
+    Each round multiplies only the frontier: the entries that changed in the
+    previous round, with zero(s) elsewhere (at first, all of d). (+) is
+    idempotent, so the products of the unchanged entries are already folded
+    into d, and every round gives the d that a product of the whole vector
+    would. Returns d, the frontier of the last round (all zero(s) once d is
+    stable) and the number of rounds run; with ``early_exit`` the rounds stop
+    at the first one that changes nothing.
+    """
+    z = sr.zero(s)
+    add = dense.ADD_UFUNC[s]
+    frontier = d
+    for k in range(1, rounds + 1):
+        nxt = add(d, product(frontier))
+        changed = nxt != d
+        frontier = np.where(changed, nxt, z)
+        d = nxt
+        if early_exit and not changed.any():
+            return d, frontier, k
+    return d, frontier, rounds
 
 
 def all_pairs_paths(a: Matrix, s: SemiringId) -> DenseMatrix:

@@ -16,22 +16,36 @@ the semiring zero. Schedule files::
     feedback <from> <to> <lag>      cyclic systems only
     cyclic                          marks the graph cyclic explicitly
 
-Task ids must be dense 0..n-1.
+Task ids must be dense 0..n-1. Every integer field is ASCII ``-?[0-9]+``.
+
+Edge records are read into an (m, 3) int64 array, from which the dense
+matrix (``ufunc.at`` with the semiring addition) or the CSR matrix
+(``from_triplets``) is built. A plain body is checked and converted as byte
+arrays; any other body, and every error, goes through a line-by-line parse
+that names the first bad line.
 """
 
 from __future__ import annotations
 
+import re
+
+import numpy as np
+
 from . import semiring as sr
-from .dense import DenseMatrix
+from .dense import ADD_UFUNC, DenseMatrix
 from .errors import GraphParseError
 from .scheduler import TaskGraph
 from .semiring import NEG_INF, POS_INF, SemiringId
-from .sparse import CsrMatrix, from_triplets
+from .sparse import CsrMatrix, _coo_rows, from_triplets
+
+# the integer grammar of every numeric field: ASCII digits with an optional
+# minus sign (int() alone also takes '+5', '1_000' and non-ASCII digits)
+_INT = re.compile(r"-?[0-9]+")
 
 
-def _tokens(text: str):
-    """Yield (line_number, fields) for content lines."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def _tokens(lines: list[str], first: int = 1):
+    """Yield (line_number, fields) for the content lines; lines[0] is line ``first``."""
+    for lineno, raw in enumerate(lines, start=first):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -43,20 +57,18 @@ def _parse_weight(tok: str, lineno: int) -> int:
         return POS_INF
     if tok == "-inf":
         return NEG_INF
-    try:
-        w = int(tok)
-    except ValueError:
+    if not _INT.fullmatch(tok):
         raise GraphParseError(f"weight {tok!r} is not an integer or inf/-inf", lineno)
+    w = int(tok)
     if not NEG_INF <= w <= POS_INF:
         raise GraphParseError(f"weight {w} outside the 32-bit range", lineno)
     return w
 
 
 def _parse_int(tok: str, what: str, lineno: int) -> int:
-    try:
-        return int(tok)
-    except ValueError:
+    if not _INT.fullmatch(tok):
         raise GraphParseError(f"{what} {tok!r} is not an integer", lineno)
+    return int(tok)
 
 
 def parse_graph(text: str, sparse: bool = False, check_shape=None):
@@ -66,9 +78,9 @@ def parse_graph(text: str, sparse: bool = False, check_shape=None):
     before any edge is parsed or any matrix storage is built; it refuses a
     shape by raising.
     """
-    lines = _tokens(text)
+    lines = text.splitlines()
     try:
-        lineno, header = next(lines)
+        lineno, header = next(_tokens(lines))
     except StopIteration:
         raise GraphParseError("empty graph file") from None
     if len(header) == 3:
@@ -96,54 +108,90 @@ def parse_graph(text: str, sparse: bool = False, check_shape=None):
     if check_shape is not None:
         check_shape(rows, cols)
 
-    entries = []
-    for lineno, fields in lines:
+    body = lines[lineno:]
+    edges = _plain_records("\n".join(body), rows, cols)
+    if edges is None:
+        edges = _parse_lines(body, lineno + 1, rows, cols)
+    if len(edges) != m:
+        raise GraphParseError(f"header declares {m} edges but file has {len(edges)}")
+    if sparse:
+        return from_triplets(rows, cols, edges, s), s
+    u, v, w = edges.T
+    if s is SemiringId.BOOLEAN:
+        w = w != 0
+    arr = np.full((rows, cols), sr.zero(s), dtype=np.int32)
+    ADD_UFUNC[s].at(arr, (u, v), w.astype(np.int32))
+    return DenseMatrix._wrap(arr), s
+
+
+def _plain_records(body: str, rows: int, cols: int) -> np.ndarray | None:
+    """The records of a plain body, checked and converted as byte arrays.
+
+    A body is plain when it holds only ASCII digits, '-', spaces, tabs and
+    newlines, each token is -?[0-9]+ of at most 11 characters, each line is
+    blank or holds three tokens, and each value is in range. For any other
+    body (comments, inf weights, other whitespace, any error) this returns
+    None, and _parse_lines parses the records line by line.
+    """
+    if not body.isascii():
+        return None
+    b = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    digit = (b >= ord("0")) & (b <= ord("9"))
+    minus = b == ord("-")
+    newline = b == ord("\n")
+    gap = newline | (b == ord(" ")) | (b == ord("\t"))
+    if not (digit | minus | gap).all():
+        return None
+    opens = ~gap & np.concatenate(([True], gap[:-1]))
+    closes = ~gap & np.concatenate((gap[1:], [True]))
+    # a '-' opens its token and a digit follows it
+    if (minus & ~(opens & np.concatenate((digit[1:], [False])))).any():
+        return None
+    start, end = np.flatnonzero(opens), np.flatnonzero(closes)
+    if not start.size:
+        return np.empty((0, 3), dtype=np.int64)
+    if (end - start > 10).any():
+        return None
+    per_line = np.bincount(np.searchsorted(np.flatnonzero(newline), start))
+    if ((per_line != 0) & (per_line != 3)).any():
+        return None
+    edges = np.fromstring(body, dtype=np.int64, sep=" ").reshape(-1, 3)
+    u, v, w = edges.T
+    if ((u < 0) | (u >= rows) | (v < 0) | (v >= cols) | (w < NEG_INF) | (w > POS_INF)).any():
+        return None
+    return edges
+
+
+def _parse_lines(lines: list[str], first: int, rows: int, cols: int) -> np.ndarray:
+    """Parse the records one line at a time; raises at the first bad line."""
+    edges = []
+    for lineno, fields in _tokens(lines, first):
         if len(fields) != 3:
             raise GraphParseError("edge record must be '<u> <v> <w>'", lineno)
         u = _parse_int(fields[0], "vertex", lineno)
         v = _parse_int(fields[1], "vertex", lineno)
         if not (0 <= u < rows and 0 <= v < cols):
             raise GraphParseError(f"vertex pair ({u}, {v}) out of range", lineno)
-        w = _parse_weight(fields[2], lineno)
-        entries.append((u, v, w))
-    if len(entries) != m:
-        raise GraphParseError(f"header declares {m} edges but file has {len(entries)}")
-
-    if sparse:
-        return from_triplets(rows, cols, entries, s), s
-    z = sr.zero(s)
-    grid = [[z] * cols for _ in range(rows)]
-    for u, v, w in entries:
-        if s is SemiringId.BOOLEAN:
-            w = 1 if w != 0 else 0
-        grid[u][v] = sr.add(grid[u][v], w, s)
-    return DenseMatrix(grid), s
+        edges.append((u, v, _parse_weight(fields[2], lineno)))
+    return np.array(edges, dtype=np.int64).reshape(-1, 3)
 
 
 def format_graph(matrix, s: SemiringId) -> str:
     """Serialize a matrix back into the graph file format (round-trippable)."""
-    z = sr.zero(s)
     if isinstance(matrix, CsrMatrix):
-        entries = []
-        ptr = matrix.row_ptr.tolist()
-        for i in range(matrix.rows):
-            for p in range(ptr[i], ptr[i + 1]):
-                entries.append((i, int(matrix.col_idx[p]), int(matrix.values[p])))
-        rows, cols = matrix.rows, matrix.cols
+        u, v, w = _coo_rows(matrix), matrix.col_idx, matrix.values
     else:
-        rows, cols = matrix.rows, matrix.cols
-        entries = []
-        for i, row in enumerate(matrix.to_rows()):
-            for j, w in enumerate(row):
-                if w != z:
-                    entries.append((i, j, w))
+        u, v = np.nonzero(matrix._arr != sr.zero(s))
+        w = matrix._arr[u, v]
+    rows, cols = matrix.rows, matrix.cols
     if rows == cols:
-        header = f"{rows} {len(entries)} {sr.TOKEN_OF[s]}"
+        header = f"{rows} {len(w)} {sr.TOKEN_OF[s]}"
     else:
-        header = f"{rows} {cols} {len(entries)} {sr.TOKEN_OF[s]}"
+        header = f"{rows} {cols} {len(w)} {sr.TOKEN_OF[s]}"
     lines = [header]
-    for u, v, w in entries:
-        lines.append(f"{u} {v} {_format_weight(w)}")
+    lines += [
+        f"{a} {b} {_format_weight(c)}" for a, b, c in zip(u.tolist(), v.tolist(), w.tolist())
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -161,7 +209,7 @@ def parse_schedule(text: str) -> TaskGraph:
     deps: list[tuple[int, int, int | None, int]] = []
     feedbacks: list[tuple[int, int, int, int]] = []
     cyclic = False
-    for lineno, fields in _tokens(text):
+    for lineno, fields in _tokens(text.splitlines()):
         kind = fields[0]
         if kind == "task":
             if len(fields) not in (4, 5):

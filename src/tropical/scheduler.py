@@ -6,20 +6,23 @@ lag it defaults to the predecessor's duration ("v starts after u finishes"),
 which is the usual finish-to-start reading.
 
 Earliest start times are the least fixed point of s = s (+) (s vecmat A)
-over max-plus, reached in at most n-1 relaxation rounds on an acyclic edge
-set. Feedback edges (declared for cyclic, repeating systems) are excluded
-from the fixed-point solve; they only enter the cycle-time / throughput
-analysis, where the minimum achievable period is the maximum cycle mean of
-the full constraint matrix.
+over max-plus, reached in at most n-1 rounds of ``graph.relax`` on an
+acyclic edge set. Feedback edges (declared for cyclic, repeating systems)
+are excluded from the fixed-point solve; they only enter the cycle-time /
+throughput analysis, where the minimum achievable period is the maximum
+cycle mean of the full constraint matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import dense
 from .dense import DenseMatrix
 from .errors import CycleInAcyclicGraphError, NoCycleError
+from .graph import relax
 from .semiring import NEG_INF, SemiringId
 from .spectral import CycleMean, max_cycle_mean
 
@@ -134,15 +137,9 @@ def solve(g: TaskGraph, start_time: int = 0) -> ScheduleResult:
     _check_acyclic(g)
     a = _constraint_matrix(g, include_feedback=False)
     s = SemiringId.MAXPLUS
-    cur = [r + start_time for r in g.ready]
-    iterations = 0
-    for _ in range(g.n - 1):
-        iterations += 1
-        relaxed = dense.vecmat(cur, a, s)
-        nxt = [x if x > y else y for x, y in zip(cur, relaxed)]
-        if nxt == cur:
-            break
-        cur = nxt
+    ready = np.array([r + start_time for r in g.ready], dtype=np.int64)
+    start, _, iterations = relax(ready, lambda x: dense.vecmat(x, a, s), s, g.n - 1)
+    cur = start.tolist()
     completion = [st + d for st, d in zip(cur, g.durations)]
     result = ScheduleResult(
         start=cur,

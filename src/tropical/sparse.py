@@ -4,6 +4,14 @@ Structural invariants, maintained by every constructor and by spmm:
 row_ptr non-decreasing with row_ptr[0] == 0 and row_ptr[rows] == nnz; column
 indices strictly increasing within each row; no stored value ever equals the
 semiring zero (the sparsity pattern is exactly the support).
+
+Every constructor except spmm goes through one coordinate (COO) assembly: it
+sorts the entries by (row, column) key, folds duplicates with the semiring
+addition (``reduceat``), drops zeros and counts rows with ``bincount``. The
+reverse direction is the COO view ``np.repeat(arange(rows), diff(row_ptr))``,
+which serves validation, ``to_dense`` and the transpose; ``spmv`` reduces
+over ``row_ptr`` segments. None of them loops over rows in Python; Gustavson
+``spmm`` is the one row loop left.
 """
 
 from __future__ import annotations
@@ -13,10 +21,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import semiring as sr
-from .dense import DenseMatrix
+from .dense import ADD_UFUNC, DenseMatrix, _check_vector, _ew_mul
 from .semiring import SemiringId
 
 _I32 = np.int32
+_I64 = np.int64
 _U32 = np.uint32
 
 
@@ -44,16 +53,18 @@ class CsrMatrix:
             raise ValueError("row_ptr must have rows+1 entries")
         if self.row_ptr[0] != 0 or self.row_ptr[-1] != nnz:
             raise ValueError("row_ptr must start at 0 and end at nnz")
-        ptr = self.row_ptr.astype(np.int64)
-        if np.any(np.diff(ptr) < 0):
+        if np.any(np.diff(self.row_ptr.astype(_I64)) < 0):
             raise ValueError("row_ptr must be non-decreasing")
-        z = sr.zero(self.semiring)
-        for i in range(self.rows):
-            lo, hi = int(ptr[i]), int(ptr[i + 1])
-            cols = self.col_idx[lo:hi].astype(np.int64)
-            if cols.size and (cols[-1] >= self.cols or np.any(np.diff(cols) <= 0)):
-                raise ValueError(f"row {i}: column indices not strictly increasing in range")
-        if nnz and np.any(self.values == z):
+        # a row is bad if a column is out of range or does not exceed the
+        # previous column of the same row
+        row = _coo_rows(self)
+        cols = self.col_idx.astype(_I64)
+        bad = row[cols >= self.cols]
+        step_bad = (np.diff(cols) <= 0) & (row[1:] == row[:-1])
+        bad = np.concatenate((bad, row[1:][step_bad]))
+        if bad.size:
+            raise ValueError(f"row {bad.min()}: column indices not strictly increasing in range")
+        if nnz and np.any(self.values == sr.zero(self.semiring)):
             raise ValueError("stored values must not equal the semiring zero")
         if self.semiring is SemiringId.BOOLEAN and nnz and np.any(self.values != 1):
             raise ValueError("boolean matrices may only store the value 1")
@@ -81,63 +92,79 @@ class CsrMatrix:
         return f"CsrMatrix({self.rows}x{self.cols}, nnz={self.nnz}, {self.semiring.name.lower()})"
 
 
+def _coo_rows(a: CsrMatrix) -> np.ndarray:
+    """Row index of every stored entry, in storage order."""
+    return np.repeat(np.arange(a.rows, dtype=_I64), np.diff(a.row_ptr.astype(_I64)))
+
+
+def _from_coo(rows: int, cols: int, i, j, v, s: SemiringId) -> CsrMatrix:
+    """CSR from int64 coordinate arrays with indices in range and values in
+    the 32-bit range: Boolean values become 0/1, duplicate coordinates fold
+    with the semiring addition and entries equal to zero(s) are dropped."""
+    if s is SemiringId.BOOLEAN:
+        v = (v != 0).astype(_I64)
+    key = i * cols + j
+    order = np.argsort(key)
+    key, v = key[order], v[order]
+    if v.size:
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        key, v = key[first], ADD_UFUNC[s].reduceat(v, first)
+    keep = v != sr.zero(s)
+    i, j = np.divmod(key[keep], cols)
+    row_ptr = np.zeros(rows + 1, dtype=_I64)
+    np.cumsum(np.bincount(i, minlength=rows), out=row_ptr[1:])
+    return CsrMatrix(rows, cols, v[keep], j, row_ptr, s)
+
+
 def from_triplets(
     rows: int,
     cols: int,
-    entries: Iterable[tuple[int, int, int]],
+    entries: Iterable[tuple[int, int, int]] | np.ndarray,
     s: SemiringId,
 ) -> CsrMatrix:
-    """Build a CSR matrix from (i, j, value) triplets.
+    """Build a CSR matrix from (i, j, value) triplets or an (m, 3) integer array.
 
     Duplicate coordinates are combined with the semiring addition; entries
     whose (combined) value equals the semiring zero are dropped. Boolean
     inputs are normalized to {0, 1} here, at the construction boundary.
     """
-    z = sr.zero(s)
-    acc: dict[tuple[int, int], int] = {}
-    for i, j, v in entries:
-        if not (0 <= i < rows and 0 <= j < cols):
-            raise ValueError(f"entry index ({i}, {j}) out of range for {rows}x{cols}")
-        if s is SemiringId.BOOLEAN:
-            v = 1 if v != 0 else 0
-        key = (i, j)
-        if key in acc:
-            acc[key] = sr.add(acc[key], v, s)
-        else:
-            acc[key] = v
-    values, col_idx, row_ptr = [], [], [0]
-    items = sorted((k, v) for k, v in acc.items() if v != z)
-    pos = 0
-    for r in range(rows):
-        while pos < len(items) and items[pos][0][0] == r:
-            (_, j), v = items[pos]
-            values.append(v)
-            col_idx.append(j)
-            pos += 1
-        row_ptr.append(len(values))
-    return CsrMatrix(rows, cols, values, col_idx, row_ptr, s)
+    if not isinstance(entries, np.ndarray):
+        entries = list(entries)
+    t = np.asarray(entries, dtype=_I64)
+    if t.size == 0:
+        t = t.reshape(0, 3)
+    if t.ndim != 2 or t.shape[1] != 3:
+        raise ValueError("entries must be (i, j, value) triplets")
+    i, j, v = t[:, 0], t[:, 1], t[:, 2]
+    bad = np.flatnonzero((i < 0) | (i >= rows) | (j < 0) | (j >= cols))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"entry index ({i[k]}, {j[k]}) out of range for {rows}x{cols}")
+    if s is not SemiringId.BOOLEAN:
+        bad = np.flatnonzero((v < sr.NEG_INF) | (v > sr.POS_INF))
+        if bad.size:
+            raise ValueError(f"value {v[bad[0]]} outside the 32-bit tropical range")
+    return _from_coo(rows, cols, i, j, v, s)
 
 
 def from_dense(a: DenseMatrix, s: SemiringId) -> CsrMatrix:
     """CSR holding exactly the entries of a that differ from zero(s)."""
-    z = sr.zero(s)
-    entries = []
-    for i, row in enumerate(a.to_rows()):
-        for j, v in enumerate(row):
-            if v != z:
-                entries.append((i, j, v))
-    return from_triplets(a.rows, a.cols, entries, s)
+    i, j = np.nonzero(a._arr != sr.zero(s))
+    return _from_coo(a.rows, a.cols, i, j, a._arr[i, j].astype(_I64), s)
 
 
 def to_dense(a: CsrMatrix) -> DenseMatrix:
     """Dense matrix with absent entries set to zero(a.semiring)."""
-    z = sr.zero(a.semiring)
-    out = np.full((a.rows, a.cols), z, dtype=_I32)
-    ptr = a.row_ptr
-    for i in range(a.rows):
-        lo, hi = int(ptr[i]), int(ptr[i + 1])
-        out[i, a.col_idx[lo:hi].astype(np.int64)] = a.values[lo:hi]
+    out = np.full((a.rows, a.cols), sr.zero(a.semiring), dtype=_I32)
+    out[_coo_rows(a), a.col_idx] = a.values
     return DenseMatrix._wrap(out)
+
+
+def transpose(a: CsrMatrix) -> CsrMatrix:
+    """A^T in CSR form (the CSC layout of a)."""
+    return _from_coo(
+        a.cols, a.rows, a.col_idx.astype(_I64), _coo_rows(a), a.values.astype(_I64), a.semiring
+    )
 
 
 def spmv(a: CsrMatrix, x: Sequence[int]) -> list[int]:
@@ -147,26 +174,22 @@ def spmv(a: CsrMatrix, x: Sequence[int]) -> list[int]:
 
 
 def spmv_instrumented(a: CsrMatrix, x: Sequence[int]) -> tuple[list[int], int]:
-    """spmv plus the exact count of semiring multiplications performed."""
-    xs = list(x)
-    if len(xs) != a.cols:
-        raise ValueError(f"matrix has {a.cols} columns but vector has {len(xs)}")
+    """spmv plus the exact count of semiring multiplications performed.
+
+    A gather of x, the saturating (x), and a segment reduction over the
+    non-empty rows; empty rows stay zero(s).
+    """
+    if len(x) != a.cols:
+        raise ValueError(f"matrix has {a.cols} columns but vector has {len(x)}")
+    xv = _check_vector(x).astype(_I64)
     s = a.semiring
-    add_ = sr.add_fn(s)
-    mul_ = sr.mul_fn(s)
-    z = sr.zero(s)
-    vals = a.values.tolist()
-    cols = a.col_idx.tolist()
-    ptr = a.row_ptr.tolist()
-    y = []
-    mults = 0
-    for i in range(a.rows):
-        acc = z
-        for p in range(ptr[i], ptr[i + 1]):
-            acc = add_(acc, mul_(vals[p], xs[cols[p]]))
-            mults += 1
-        y.append(acc)
-    return y, mults
+    y = np.full(a.rows, sr.zero(s), dtype=_I32)
+    if a.nnz:
+        prod = _ew_mul(a.values.astype(_I64), xv[a.col_idx], s)
+        ptr = a.row_ptr.astype(_I64)
+        nonempty = np.flatnonzero(ptr[1:] != ptr[:-1])
+        y[nonempty] = ADD_UFUNC[s].reduceat(prod, ptr[nonempty])
+    return y.tolist(), a.nnz
 
 
 def spmm(a: CsrMatrix, b: CsrMatrix) -> CsrMatrix:

@@ -180,6 +180,60 @@ def test_negative_cycle_exit_code(fixtures, capsys):
     assert "NegativeCycle" in err
 
 
+def test_maxplus_positive_cycle_exit_code(tmp_path, capsys):
+    path = tmp_path / "up.graph"
+    path.write_text("3 3 maxplus\n0 1 1\n1 2 0\n2 1 1\n")
+    for extra in ([], ["--sparse"]):
+        code, out, err = invoke(capsys, "sssp", str(path), "--source", "0", *extra)
+        assert code == 1
+        assert out == ""
+        assert "PositiveCycleError" in err
+
+
+@pytest.mark.parametrize("token", ["\u0663", "1_000"])
+def test_non_ascii_and_underscore_integers_exit_2(tmp_path, capsys, token):
+    graphs = {
+        "header.graph": f"{token} 0 minplus\n",
+        "edge.graph": f"2 1 minplus\n0 1 {token}\n",
+    }
+    for name, text in graphs.items():
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        for extra in ([], ["--sparse"]):
+            code, _, err = invoke(capsys, "sssp", str(path), "--source", "0", *extra)
+            assert code == 2
+            assert err.startswith("error: line ")
+    path = tmp_path / "task.sched"
+    path.write_text(f"task 0 a 5\ntask 1 b {token}\n", encoding="utf-8")
+    code, _, err = invoke(capsys, "schedule", str(path))
+    assert code == 2
+    assert err.startswith("error: line 2:")
+
+
+def test_negative_max_iter_is_a_usage_error(fixtures, capsys):
+    code, _, err = invoke(
+        capsys, "eigvec", str(fixtures / "cycles4_maxplus.graph"), "--max-iter", "-1"
+    )
+    assert code == 2
+    assert "must be >= 0" in err
+
+
+@pytest.mark.parametrize("exc", [MemoryError, OverflowError])
+def test_memory_and_overflow_errors_exit_1(fixtures, capsys, monkeypatch, exc):
+    import tropical.graph
+
+    def fail(*args, **kwargs):
+        raise exc("cannot allocate")
+
+    monkeypatch.setattr(tropical.graph, "sssp", fail)
+    code, out, err = invoke(
+        capsys, "sssp", str(fixtures / "chain3_minplus.graph"), "--source", "0"
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {exc.__name__}: cannot allocate\n"
+
+
 @pytest.mark.parametrize(
     "name",
     [
@@ -294,6 +348,25 @@ def test_bench_matvec_and_closure(capsys):
         "--semiring", "minplus",
     )
     assert code == 0
+
+
+def test_bench_sssp(capsys):
+    code, payload, _ = invoke_json(
+        capsys, "bench", "--op", "sssp", "--size", "64", "--reps", "2",
+        "--semiring", "minplus",
+    )
+    assert code == 0
+    assert payload["op"] == "sssp" and payload["n"] == 64
+    assert len(payload["elapsed_us"]) == 2
+    assert payload["mops"] > 0
+    _, again, _ = invoke_json(
+        capsys, "bench", "--op", "sssp", "--size", "64", "--reps", "1",
+        "--semiring", "minplus",
+    )
+    assert again["checksum"] == payload["checksum"]
+    # max-plus draws negated weights, so its paths exist as well
+    code, _, err = invoke(capsys, "bench", "--op", "sssp", "--size", "64", "--reps", "1")
+    assert code == 0, err
 
 
 def test_text_json_parity(fixtures, capsys):

@@ -110,6 +110,21 @@ def test_sssp_errors():
         tr.sssp(csr, 0, SemiringId.MAXPLUS)
 
 
+def test_sssp_maxplus_positive_cycle_raises():
+    # 0 -> 1 -> 2 -> 1 with a +1 lap through 1 and 2: longest paths grow
+    # every round, so n-1 rounds end on a vector that is not a fixed point
+    rows = [[N, 1, N], [N, N, 0], [N, 1, N]]
+    for a in (DenseMatrix(rows), tr.from_dense(DenseMatrix(rows), SemiringId.MAXPLUS)):
+        with pytest.raises(tr.PositiveCycleError) as exc:
+            tr.sssp(a, 0, SemiringId.MAXPLUS)
+        assert isinstance(exc.value, tr.TropicalError)
+        assert "positive cycle" in str(exc.value)
+    # a zero-weight max-plus cycle has a fixed point
+    flat = DenseMatrix([[N, 1, N], [N, N, 0], [N, 0, N]])
+    assert tr.sssp(flat, 0, SemiringId.MAXPLUS) == [0, 1, 1]
+    assert tr.sssp(tr.from_dense(flat, SemiringId.MAXPLUS), 0, SemiringId.MAXPLUS) == [0, 1, 1]
+
+
 def test_all_pairs_known_values_and_identity():
     assert tr.all_pairs_paths(CHAIN3, SemiringId.MINPLUS).to_rows() == [
         [0, 2, 5],

@@ -5,6 +5,8 @@ import pytest
 import tropical as tr
 from tropical import NEG_INF, POS_INF, DenseMatrix, GraphParseError, SemiringId
 
+P, N = POS_INF, NEG_INF
+
 
 def test_parse_graph_known_file(fixtures):
     m, s = tr.parse_graph((fixtures / "chain3_minplus.graph").read_text())
@@ -136,3 +138,51 @@ def test_malformed_schedules(fixtures):
         tr.parse_schedule("dep 0 1\n")
     with pytest.raises(GraphParseError):
         tr.parse_schedule("task 0 a 5\ntask 0 b 2\n")
+
+
+@pytest.mark.parametrize("token", ["\u0663", "1_000", "+1"])
+def test_integer_grammar_is_ascii_digits(token):
+    # int() takes Arabic-Indic digits, underscores and a plus sign; the file
+    # grammar is -?[0-9]+ only, and the error names the line
+    cases = [
+        (f"# header below\n{token} 0 minplus\n", 2),
+        (f"2 1 minplus\n0 {token} 5\n", 2),
+        (f"2 1 minplus\n0 1 5\n1 0 {token}\n", 3),
+        (f"2 2 minplus\n0 1 5\n\n{token} 0 5\n", 4),
+    ]
+    for text, line in cases:
+        for sparse in (False, True):
+            with pytest.raises(GraphParseError) as exc:
+                tr.parse_graph(text, sparse=sparse)
+            assert exc.value.line == line
+    for text, line in [
+        (f"task 0 a {token}\n", 1),
+        (f"task 0 a 5\ntask {token} b 2\n", 2),
+        (f"task 0 a 5\ntask 1 b 2 {token}\n", 2),
+        (f"task 0 a 5\ntask 1 b 2\ndep 0 1 {token}\n", 3),
+    ]:
+        with pytest.raises(GraphParseError) as exc:
+            tr.parse_schedule(text)
+        assert exc.value.line == line
+
+
+def test_parse_keeps_the_first_error_in_line_order():
+    # a range error on line 2 wins over a bad token and a short record later
+    text = "3 3 minplus\n0 7 1\n0 1 x\n0 1\n"
+    with pytest.raises(GraphParseError) as exc:
+        tr.parse_graph(text)
+    assert exc.value.line == 2 and "out of range" in str(exc.value)
+    with pytest.raises(GraphParseError) as exc:
+        tr.parse_graph("3 2 minplus\n0 1 x\n0 1\n")
+    assert exc.value.line == 2 and "'x'" in str(exc.value)
+
+
+def test_parse_inf_weights_comments_and_crlf():
+    text = "# g\r\n3 4 maxplus\r\n0 1 inf\r\n# mid\r\n1 2 -inf\r\n\t2 0 -7 \r\n2 0 3\r\n"
+    for sparse in (False, True):
+        m, s = tr.parse_graph(text, sparse=sparse)
+        rows = (tr.to_dense(m) if sparse else m).to_rows()
+        assert rows == [[N, P, N], [N, N, N], [3, N, N]]
+    # tokens longer than 11 characters are valid when their value is in range
+    m, _ = tr.parse_graph("2 1 maxplus\n0 00000000001 -000000000007\n")
+    assert m.to_rows() == [[N, -7], [N, N]]

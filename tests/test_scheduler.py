@@ -116,6 +116,18 @@ def test_single_task():
     assert tr.critical_path(g, r) == [0]
 
 
+def test_iterations_stop_at_the_first_stable_round():
+    # one edge among five tasks: round 1 moves task 1, round 2 changes
+    # nothing and ends the solve, well before the n-1 = 4 round cap
+    g = TaskGraph()
+    for k in range(5):
+        g.add_task(f"t{k}", 3)
+    g.add_constraint(0, 1)
+    r = tr.solve(g)
+    assert r.start == [0, 3, 0, 0, 0]
+    assert r.iterations == 2
+
+
 def test_start_time_offset():
     g = TaskGraph()
     a = g.add_task("a", 4, ready=2)

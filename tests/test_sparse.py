@@ -192,3 +192,13 @@ def test_csr_validation():
         CsrMatrix(1, 1, [NEG_INF], [0], [0, 1], SemiringId.MAXPLUS)
     with pytest.raises(ValueError):
         CsrMatrix(1, 1, [7], [0], [0, 1], SemiringId.BOOLEAN)
+
+
+def test_csr_validation_names_the_first_bad_row():
+    # row 1 repeats a column, row 2 holds one out of range: row 1 is named
+    with pytest.raises(ValueError, match="^row 1: column indices"):
+        CsrMatrix(3, 3, [1, 2, 3, 4], [0, 2, 2, 7], [0, 1, 3, 4], SemiringId.MAXPLUS)
+    with pytest.raises(ValueError, match="^row 2: column indices"):
+        CsrMatrix(3, 3, [1, 2, 3, 4], [0, 0, 2, 3], [0, 1, 3, 4], SemiringId.MAXPLUS)
+    with pytest.raises(ValueError, match="^row 0: column indices"):
+        CsrMatrix(2, 3, [1, 2], [2, 1], [0, 2, 2], SemiringId.MAXPLUS)

@@ -1,0 +1,172 @@
+"""Property tests: the array-native CSR layer and ingest against scalar folds.
+
+The COO assembly behind ``from_triplets`` sorts by key and folds duplicates
+with ``reduceat``; ``spmv`` is a gather and a segment reduction; ``sssp`` runs
+one relaxation loop over frontier vectors for dense and CSR input; and
+``parse_graph`` converts tokens in bulk, falling back to a line-by-line parse
+for errors. Each test compares one of them with a plain scalar definition,
+on all five semirings, with duplicates, empty rows, rectangular shapes,
+sentinels and values near the finite limits.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import tropical as tr
+from tropical import GraphParseError, SemiringId
+from tropical.semiring import FINITE_MAX, FINITE_MIN, NEG_INF, POS_INF
+
+ALL = list(SemiringId)
+P, N = POS_INF, NEG_INF
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def values(s):
+    """Entries: sentinels, zero(s), one(s), values near the finite limits and
+    small integers; Boolean also gets values beyond 0 and 1."""
+    return st.one_of(
+        st.sampled_from([N, P, tr.zero(s), tr.one(s), FINITE_MAX, FINITE_MIN]),
+        st.integers(FINITE_MAX - 2000, POS_INF),
+        st.integers(NEG_INF, FINITE_MIN + 2000),
+        st.integers(-50, 50),
+    )
+
+
+def triplets(draw, s, rows, cols):
+    # coordinates from a small range, so duplicates and empty rows are common
+    cell = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1), values(s))
+    return draw(st.lists(cell, max_size=2 * rows + 4))
+
+
+def scalar_fold(rows, cols, entries, s):
+    grid = [[tr.zero(s)] * cols for _ in range(rows)]
+    for i, j, v in entries:
+        if s is SemiringId.BOOLEAN:
+            v = 1 if v != 0 else 0
+        grid[i][j] = tr.add(grid[i][j], v, s)
+    return grid
+
+
+@pytest.mark.parametrize("s", ALL)
+@PROPERTY
+@given(data=st.data())
+def test_from_triplets_is_a_scalar_fold(s, data):
+    rows, cols = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+    entries = triplets(data.draw, s, rows, cols)
+    a = tr.from_triplets(rows, cols, entries, s)
+    assert tr.to_dense(a).to_rows() == scalar_fold(rows, cols, entries, s)
+    assert tr.from_dense(tr.to_dense(a), s) == a
+
+
+@pytest.mark.parametrize("s", ALL)
+@PROPERTY
+@given(data=st.data())
+def test_spmv_matches_the_reference_and_counts_nnz(s, data):
+    rows, cols = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+    a = tr.from_triplets(rows, cols, triplets(data.draw, s, rows, cols), s)
+    x = data.draw(st.lists(values(s), min_size=cols, max_size=cols))
+    y, mults = tr.spmv_instrumented(a, x)
+    assert y == tr.matvec_reference(tr.to_dense(a), x, s)
+    assert mults == a.nnz
+    assert tr.spmv(a, x) == y
+
+
+def relax_oracle(rows, source, s):
+    """Bellman-Ford in the semiring: n-1 rounds of d <- d (+) (d vecmat A),
+    each computed from the previous d, then one more round to test
+    stability. Returns the distances, or the error type expected."""
+    n = len(rows)
+    d = [tr.zero(s)] * n
+    d[source] = tr.one(s)
+
+    def round_(d):
+        nxt = list(d)
+        for i in range(n):
+            for j in range(n):
+                nxt[j] = tr.add(nxt[j], tr.mul(d[i], rows[i][j], s), s)
+        return nxt
+
+    for _ in range(n - 1):
+        d = round_(d)
+    if round_(d) != d:
+        if s is SemiringId.MINPLUS:
+            return tr.NegativeCycleError
+        if s is SemiringId.MAXPLUS:
+            return tr.PositiveCycleError
+    return d
+
+
+def sssp_outcome(a, source, s, **kw):
+    try:
+        return tr.sssp(a, source, s, **kw)
+    except (tr.NegativeCycleError, tr.PositiveCycleError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("s", ALL)
+@PROPERTY
+@given(data=st.data())
+def test_csr_sssp_equals_dense_sssp_equals_bellman_ford(s, data):
+    n = data.draw(st.integers(1, 7))
+    entries = triplets(data.draw, s, n, n)
+    if data.draw(st.booleans()):
+        # small weights of both signs: cycles of every sign, no saturation
+        entries = [(i, j, v % 21 - 10) for i, j, v in entries]
+    csr = tr.from_triplets(n, n, entries, s)
+    dense = tr.to_dense(csr)
+    source = data.draw(st.integers(0, n - 1))
+    want = relax_oracle(dense.to_rows(), source, s)
+    assert sssp_outcome(dense, source, s) == want
+    assert sssp_outcome(csr, source, s) == want
+    assert sssp_outcome(csr, source, s, early_exit=False) == want
+
+
+@pytest.mark.parametrize("s", ALL)
+@PROPERTY
+@given(data=st.data())
+def test_format_graph_round_trips(s, data):
+    rows, cols = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+    csr = tr.from_triplets(rows, cols, triplets(data.draw, s, rows, cols), s)
+    text = tr.format_graph(csr, s)
+    back, s2 = tr.parse_graph(text, sparse=True)
+    assert s2 is s and back == csr
+    dense = tr.to_dense(csr)
+    text = tr.format_graph(dense, s)
+    back, s2 = tr.parse_graph(text)
+    assert s2 is s and back == dense
+    assert tr.format_graph(back, s) == text
+
+
+# tokens outside the grammar; "" drops the field, "out" is a value out of range
+BAD_TOKENS = ["\u0663", "1_000", "+1", "0x1", "1.0", "-", "--1", "1-2", "1-", "info", "", "out"]
+
+
+@pytest.mark.parametrize("token", BAD_TOKENS)
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_the_first_bad_record_names_its_line(token, data):
+    # one record carries the bad token; the error names its line, whatever
+    # the valid records around it hold, with or without comment lines (with
+    # them, the whole body is parsed line by line)
+    n = data.draw(st.integers(1, 6))
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-9, 9))
+    edges = data.draw(st.lists(edge, min_size=1, max_size=8))
+    bad = data.draw(st.integers(0, len(edges) - 1))
+    field = data.draw(st.integers(0, 2))
+    if token == "out":
+        out = [str(n), "-1"] if field < 2 else ["2147483648", "-2147483649"]
+        token = data.draw(st.sampled_from(out))
+    fields = [list(map(str, e)) for e in edges]
+    fields[bad][field] = token
+    fillers = ["", "  \t", "# 0 1 2"] if data.draw(st.booleans()) else ["", "  \t"]
+    lines = [f"{n} {len(edges)} minplus"]
+    for k, f in enumerate(fields):
+        if data.draw(st.booleans()):
+            lines.append(data.draw(st.sampled_from(fillers)))
+        lines.append(" ".join(t for t in f if t))
+        if k == bad:
+            line = len(lines)
+    with pytest.raises(GraphParseError) as exc:
+        tr.parse_graph("\n".join(lines) + "\n", sparse=data.draw(st.booleans()))
+    assert exc.value.line == line
