@@ -3,9 +3,12 @@
 Timings are measurements, never assertions: the harness reports elapsed
 wall-clock per repetition plus MOPS (millions of semiring multiply-add
 operations per second), counting 2*n^3 operations for an n x n product or
-closure sweep, 2*n^2 for a matrix-vector product, and 2*m for ``sssp`` on a
-graph of m edges. The last is one relaxation sweep over the edges, so the
-``sssp`` MOPS is an edge throughput, not a count of the rounds run.
+closure sweep, 2*n^2 for a matrix-vector product, 2*m for ``sssp`` on a
+graph of m edges, and 2*n*m for ``eig`` (``max_cycle_mean``) on a strongly
+connected graph of n vertices and m distinct edges. The ``sssp`` count is one
+relaxation sweep over the edges, so its MOPS is an edge throughput, not a
+count of the rounds run; the ``eig`` count is Karp's n rounds, each relaxing
+every edge with one add and one max.
 """
 
 from __future__ import annotations
@@ -16,18 +19,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dense, graph, sparse
+from . import dense, graph, sparse, spectral, structure
 from .dense import DenseMatrix
-from .semiring import SemiringId
+from .semiring import NEG_INF, SemiringId
 
-BENCH_OPS = ("matmul", "matvec", "closure", "sssp")
+BENCH_OPS = ("matmul", "matvec", "closure", "sssp", "eig")
 
-# shape of the sssp graph: uniform endpoints, SSSP_DEGREE * n edges, weights
-# uniform in [1, 1000]
-SSSP_DEGREE = 8
+# mean out-degree of the sssp and eig graphs
+GRAPH_DEGREE = 8
 
 _ENTRY_LO = -1000
 _ENTRY_HI = 1000
+
+# eig graph weights, and how many draws may fail to be strongly connected
+_EIG_WEIGHT = 100
+_EIG_DRAWS = 1000
 
 
 @dataclass
@@ -53,17 +59,36 @@ def random_vector(n: int, rng: np.random.Generator) -> list[int]:
     return rng.integers(_ENTRY_LO, _ENTRY_HI + 1, size=n, dtype=np.int32).tolist()
 
 
-def random_graph(n: int, s: SemiringId, rng: np.random.Generator) -> sparse.CsrMatrix:
-    """CSR graph of SSSP_DEGREE * n edges with uniform endpoints and weights
-    in [1, 1000]. Max-plus weights are negated, so that every cycle is
-    negative and the longest paths exist."""
-    m = SSSP_DEGREE * n
+def random_edges(n: int, degree: int, lo: int, hi: int, rng: np.random.Generator):
+    """degree * n edges (u, v, w) with uniform endpoints and weights uniform
+    in [lo, hi]; duplicates and self-loops are kept."""
+    m = degree * n
     u = rng.integers(0, n, size=m)
     v = rng.integers(0, n, size=m)
-    w = rng.integers(1, _ENTRY_HI + 1, size=m)
+    w = rng.integers(lo, hi + 1, size=m)
+    return u, v, w
+
+
+def random_graph(n: int, s: SemiringId, rng: np.random.Generator) -> sparse.CsrMatrix:
+    """CSR graph of GRAPH_DEGREE * n edges with weights in [1, 1000]. Max-plus
+    weights are negated, so that every cycle is negative and the longest
+    paths exist."""
+    u, v, w = random_edges(n, GRAPH_DEGREE, 1, _ENTRY_HI, rng)
     if s is SemiringId.MAXPLUS:
         w = -w
     return sparse.from_triplets(n, n, np.column_stack((u, v, w)), s)
+
+
+def random_eig_graph(n: int, rng: np.random.Generator) -> DenseMatrix:
+    """Dense max-plus graph of GRAPH_DEGREE * n edges with weights in
+    [-100, 100], drawn again until it is strongly connected (duplicate edges
+    keep their maximum)."""
+    for _ in range(_EIG_DRAWS):
+        u, v, w = random_edges(n, GRAPH_DEGREE, -_EIG_WEIGHT, _EIG_WEIGHT, rng)
+        if structure.components(n, u, v).max() == 0:
+            a = sparse.from_triplets(n, n, np.column_stack((u, v, w)), SemiringId.MAXPLUS)
+            return sparse.to_dense(a)
+    raise ValueError(f"no strongly connected graph of size {n} in {_EIG_DRAWS} draws")
 
 
 def _crc32(*arrays: np.ndarray) -> int:
@@ -81,7 +106,14 @@ def run_bench(op: str, n: int, s: SemiringId, reps: int, seed: int = 0) -> Bench
     if reps < 1:
         raise ValueError("reps must be >= 1")
     rng = np.random.default_rng(seed)
-    if op == "sssp":
+    if op == "eig":
+        if s is not SemiringId.MAXPLUS:
+            raise ValueError("the eig benchmark requires the maxplus semiring")
+        a = random_eig_graph(n, rng)
+        checksum = _crc32(a._arr)
+        work = lambda: spectral.max_cycle_mean(a)
+        ops = 2 * n * int(np.count_nonzero(a._arr != NEG_INF))
+    elif op == "sssp":
         g = random_graph(n, s, rng)
         source = int(rng.integers(n))
         checksum = _crc32(g.row_ptr, g.col_idx, g.values)

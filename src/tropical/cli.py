@@ -12,6 +12,7 @@ running out of memory), 2 parse or usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -155,8 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # -- subcommand handlers: each returns (payload, text_lines) -------------------
-# Matrix commands leave text_lines as None under --json: rendering n^2 values
-# as text is only worth it when the text is printed.
+# Matrix and sssp commands leave text_lines as None under --json: rendering
+# n^2 or n values as text is only worth it when the text is printed.
 
 def _matrix_result(args, payload: dict, m: DenseMatrix):
     payload["matrix"] = _matrix_payload(m)
@@ -201,7 +202,7 @@ def _cmd_sssp(args):
         "source": args.source,
         "distances": [_fmt_val(v) for v in d],
     }
-    return payload, [" ".join(str(v) for v in payload["distances"])]
+    return payload, None if args.json else [" ".join(str(v) for v in payload["distances"])]
 
 
 def _cmd_matmul(args):
@@ -364,11 +365,17 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call and reused: no action keeps state between
+    # parse_args calls (no append or count actions, no mutable defaults)
+    return build_parser()
+
+
 def run(argv: list[str]) -> int:
     """Dispatch one CLI invocation; returns the process exit status."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dense
+from . import dense, structure
 from .dense import DenseMatrix
 from .errors import CycleInAcyclicGraphError, NoCycleError
 from .graph import relax
@@ -103,30 +103,18 @@ def _constraint_matrix(g: TaskGraph, include_feedback: bool) -> DenseMatrix:
 
 
 def _check_acyclic(g: TaskGraph) -> None:
-    """Kahn's algorithm on the non-feedback edge set."""
-    n = g.n
-    indeg = [0] * n
-    out: list[list[int]] = [[] for _ in range(n)]
-    for e in g.edges:
-        if e.feedback:
-            continue
-        out[e.src].append(e.dst)
-        indeg[e.dst] += 1
-    queue = [i for i in range(n) if indeg[i] == 0]
-    done = 0
-    while queue:
-        u = queue.pop()
-        done += 1
-        for v in out[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(v)
-    if done != n:
-        stuck = tuple(i for i in range(n) if indeg[i] > 0)
+    """Reject a cycle among the non-feedback edges, naming every task on a
+    cycle or downstream of one (the tasks no topological order can place)."""
+    pairs = [(e.src, e.dst) for e in g.edges if not e.feedback]
+    src, dst = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    labels = structure.components(g.n, src, dst)
+    cyclic = structure.cyclic(labels, src, dst)
+    if cyclic.any():
+        stuck = structure.downstream(labels, src, dst, cyclic)[labels]
         raise CycleInAcyclicGraphError(
             "precedence constraints contain a cycle "
             "(declare feedback edges for cyclic systems)",
-            vertices=stuck,
+            vertices=tuple(np.flatnonzero(stuck).tolist()),
         )
 
 

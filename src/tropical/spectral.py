@@ -1,11 +1,16 @@
 """Spectral analysis of max-plus matrices.
 
 The unique eigenvalue of an irreducible max-plus matrix is its maximum cycle
-mean, an exact rational. It is computed here with the source-based Karp
-recurrence run independently on every strongly connected component: within a
-component, D[k][v] is the heaviest k-edge walk from a fixed source, and the
-component's value is max_v min_k (D[m][v] - D[k][v]) / (m - k). All
-comparisons are exact rational arithmetic; floats never decide a maximum.
+mean, an exact rational. ``max_cycle_mean`` splits the graph into strongly
+connected components with ``structure.components`` (Tarjan) and runs the
+source-based Karp recurrence on the edge list of every component that holds a
+cycle: D[k][v] is the heaviest k-edge walk from a fixed source, one gather,
+add and segment max per k into an int64 table, and the component's value is
+max_v min_k (D[m][v] - D[k][v]) / (m - k). Exactness: every walk weight
+fits in int64 (|D| <= m * 2**31), each ratio is held as an integer part and
+a remainder over its denominator, so ratios compare with an integer compare
+and a cross product below m**2, and the last maximum and the comparison of
+components use Fraction. Floats never decide a maximum.
 """
 
 from __future__ import annotations
@@ -16,13 +21,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import dense
+from . import structure
 from .dense import DenseMatrix
 from .errors import NoCycleError
-from .semiring import NEG_INF, SemiringId
+from .semiring import NEG_INF
 
-# int64 bottom for "no walk" in the critical-graph sweep; real walk weights
-# stay far above the detection threshold
+# int64 bottom for "no walk" in the Karp table and the critical-graph sweep;
+# real walk weights stay far above the detection threshold
 _BOT = -(2**62)
 _BOT_CUT = -(2**61)
 
@@ -91,67 +96,6 @@ class EigenvectorResult:
     residual: float
 
 
-def _components(arr: np.ndarray) -> list[list[int]]:
-    """Strongly connected components via the Boolean reachability closure."""
-    presence = (arr != NEG_INF).astype(np.int32)
-    reach = dense.closure(DenseMatrix._wrap(presence), SemiringId.BOOLEAN)._arr
-    mutual = (reach != 0) & (reach.T != 0)
-    n = arr.shape[0]
-    seen = [False] * n
-    comps = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        comp = [j for j in range(n) if mutual[i, j]]
-        for j in comp:
-            seen[j] = True
-        comps.append(comp)
-    return comps
-
-
-def _karp_component(w: list[list[int | None]]) -> Fraction:
-    """Maximum cycle mean of one strongly connected component (m >= 1).
-
-    w[u][v] is the edge weight or None. Walk table D[k][v] is exact Python
-    integer arithmetic, so no overflow or rounding can occur.
-    """
-    m = len(w)
-    d: list[list[int | None]] = [[None] * m for _ in range(m + 1)]
-    d[0][0] = 0
-    for k in range(1, m + 1):
-        prev = d[k - 1]
-        row = d[k]
-        for u in range(m):
-            pu = prev[u]
-            if pu is None:
-                continue
-            wu = w[u]
-            for v in range(m):
-                wuv = wu[v]
-                if wuv is None:
-                    continue
-                cand = pu + wuv
-                if row[v] is None or cand > row[v]:
-                    row[v] = cand
-    best: Fraction | None = None
-    dn = d[m]
-    for v in range(m):
-        if dn[v] is None:
-            continue
-        inner: Fraction | None = None
-        for k in range(m):
-            if d[k][v] is None:
-                continue
-            r = Fraction(dn[v] - d[k][v], m - k)
-            if inner is None or r < inner:
-                inner = r
-        if inner is not None and (best is None or inner > best):
-            best = inner
-    if best is None:
-        raise AssertionError("strongly connected component without an n-edge walk")
-    return best
-
-
 def max_cycle_mean(a: DenseMatrix) -> CycleMean | None:
     """Maximum cycle mean of a max-plus adjacency matrix, or None if acyclic.
 
@@ -162,27 +106,69 @@ def max_cycle_mean(a: DenseMatrix) -> CycleMean | None:
     if a.rows != a.cols:
         raise ValueError("cycle mean requires a square matrix")
     arr = a._arr
-    rows = a.to_rows()
-    comps = _components(arr)
-    best: Fraction | None = None
-    for comp in comps:
-        m = len(comp)
-        if m == 1:
-            i = comp[0]
-            if rows[i][i] == NEG_INF:
-                continue
-            cand = Fraction(rows[i][i], 1)
-        else:
-            w = [
-                [rows[u][v] if rows[u][v] != NEG_INF else None for v in comp]
-                for u in comp
-            ]
-            cand = _karp_component(w)
+    src, dst = np.nonzero(arr != NEG_INF)
+    labels = structure.components(a.rows, src, dst)
+    cyclic = structure.cyclic(labels, src, dst)
+    if not cyclic.any():
+        return None
+    # number the vertices of each component 0..size-1, keep the edges inside
+    # cyclic components and sort them by (component, local destination)
+    sizes = np.bincount(labels)
+    order = np.argsort(labels, kind="stable")
+    local = np.empty_like(labels)
+    local[order] = np.arange(a.rows) - (np.cumsum(sizes) - sizes)[labels[order]]
+    comp = labels[src]
+    keep = (comp == labels[dst]) & cyclic[comp]
+    comp, src, dst = comp[keep], src[keep], dst[keep]
+    w = arr[src, dst].astype(np.int64)
+    src, dst = local[src], local[dst]
+    edges = np.lexsort((dst, comp))
+    comp, src, dst, w = comp[edges], src[edges], dst[edges], w[edges]
+    bounds = np.searchsorted(comp, np.arange(len(sizes) + 1))
+    best = None
+    for c in np.flatnonzero(cyclic).tolist():
+        lo, hi = bounds[c], bounds[c + 1]
+        cand = _karp(int(sizes[c]), src[lo:hi], dst[lo:hi], w[lo:hi])
         if best is None or cand > best:
             best = cand
-    if best is None:
-        return None
-    return CycleMean(best.numerator, best.denominator, strongly_connected=len(comps) == 1)
+    return CycleMean(best.numerator, best.denominator, strongly_connected=len(sizes) == 1)
+
+
+def _karp(m: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> Fraction:
+    """Maximum cycle mean of one strongly connected component.
+
+    The m vertices are numbered 0..m-1 and the edges (duplicates allowed)
+    are sorted by destination; every vertex has an in-edge. Row k of the
+    table is the heaviest k-edge walk from vertex 0 to each vertex: one
+    gather, one add and one segment max per row. A missing walk starts at
+    _BOT and drifts by at most m * 2**31 < 2**61, so it stays below
+    _BOT_CUT while every real walk, |weight| <= m * 2**31, stays above it.
+    """
+    starts = np.flatnonzero(np.r_[True, dst[1:] != dst[:-1]])
+    d = np.full((m + 1, m), _BOT, dtype=np.int64)
+    d[0, 0] = 0
+    for k in range(1, m + 1):
+        np.maximum.reduceat(d[k - 1][src] + w, starts, out=d[k])
+    # per vertex v, the exact min over k of (d[m][v] - d[k][v]) / (m - k),
+    # held as q + r/den with 0 <= r < den <= m: comparing two such values
+    # needs only an integer compare and a cross product below m**2
+    last = d[m]
+    q = np.full(m, np.iinfo(np.int64).max)
+    r = np.zeros(m, dtype=np.int64)
+    den = np.ones(m, dtype=np.int64)
+    for k in range(m):
+        qk, rk = np.divmod(last - d[k], m - k)
+        better = (d[k] > _BOT_CUT) & ((qk < q) | ((qk == q) & (rk * den < r * (m - k))))
+        q[better] = qk[better]
+        r[better] = rk[better]
+        den[better] = m - k
+    # every vertex with an m-edge walk has a shorter one (drop a cycle), so
+    # its minimum is set; the maximum over those vertices is settled with
+    # Fraction among the vertices that share the largest integer part
+    reached = last > _BOT_CUT
+    top = q[reached].max()
+    tie = reached & (q == top)
+    return int(top) + max(map(Fraction, r[tie].tolist(), den[tie].tolist()))
 
 
 def critical_vertices(a: DenseMatrix) -> frozenset[int]:
@@ -233,7 +219,10 @@ def eigenvector(
     f[a._arr == NEG_INF] = -np.inf
     lam_f = lam.as_float
     v = np.zeros(n, dtype=np.float64)
-    history = [v]
+    # every iterate so far, one per row; the buffer doubles when full
+    history = np.empty((8, n))
+    history[0] = v
+    count = 1
     iterations = 0
     for it in range(1, max_iter + 1):
         iterations = it
@@ -243,28 +232,34 @@ def eigenvector(
             return EigenvectorResult(
                 v_new.tolist(), True, it, _residual(f, v_new, lam_f)
             )
-        for c in range(2, len(history) + 1):
-            if _linf(v_new, history[-c]) <= epsilon:
-                period = history[len(history) - c + 1 :] + [v_new]
-                merged = period[0]
-                for w in period[1:]:
-                    merged = np.maximum(merged, w)
-                return EigenvectorResult(
-                    merged.tolist(), True, it, _residual(f, merged, lam_f)
-                )
-        history.append(v_new)
+        # a repeat of an iterate before v closes a period; the latest one wins
+        hits = np.flatnonzero(_distances(history[: count - 1], v_new) <= epsilon)
+        if hits.size:
+            merged = np.maximum(history[hits[-1] + 1 : count].max(axis=0), v_new)
+            return EigenvectorResult(
+                merged.tolist(), True, it, _residual(f, merged, lam_f)
+            )
+        if count == len(history):
+            history = np.concatenate((history, np.empty_like(history)))
+        history[count] = v_new
+        count += 1
         v = v_new
     return EigenvectorResult(v.tolist(), False, iterations, _residual(f, v, lam_f))
 
 
-def _linf(u: np.ndarray, v: np.ndarray) -> float:
-    both_bot = np.isneginf(u) & np.isneginf(v)
+def _distances(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """L-infinity distance from each row to v. Two -inf entries are equal;
+    a NaN difference makes the distance NaN, which compares like infinity."""
+    both_bot = np.isneginf(rows) & np.isneginf(v)
     with np.errstate(invalid="ignore"):
-        diff = np.abs(u - v)
+        diff = np.abs(rows - v)
     diff[both_bot] = 0.0
-    if np.any(np.isnan(diff)):
-        return math.inf
-    return float(diff.max())
+    return diff.max(axis=-1)
+
+
+def _linf(u: np.ndarray, v: np.ndarray) -> float:
+    dist = float(_distances(u, v))
+    return math.inf if math.isnan(dist) else dist
 
 
 def _residual(f: np.ndarray, v: np.ndarray, lam_f: float) -> float:

@@ -1,0 +1,101 @@
+"""Graph structure on edge lists: strongly connected components and the
+topological order of their condensation.
+
+A graph is n vertices and two equal-length integer arrays ``src`` and
+``dst``, one entry per edge; duplicate edges and self-loops are allowed.
+``components`` is Tarjan's algorithm (Tarjan 1972), run iteratively so that
+deep graphs do not reach the recursion limit. Its labels come out in reverse
+topological order: every edge between two components runs from the higher
+label to the lower one, so visiting labels from the highest down is a
+topological order of the condensation.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Strongly connected component label of every vertex (int64, 0..c-1).
+
+    The first component completed gets label 0; an edge u -> v between two
+    components always has labels[u] > labels[v].
+    """
+    src = np.asarray(src, dtype=np.int64)
+    order = np.argsort(src, kind="stable")
+    succ = np.asarray(dst, dtype=np.int64)[order].tolist()
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=ptr[1:])
+    ptr = ptr.tolist()
+    index = [-1] * n
+    low = [0] * n
+    label = [-1] * n
+    stack: list[int] = []
+    count = 0
+    comp = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        # the depth-first path, and for each vertex on it the next edge to scan
+        path = [root]
+        pos = [ptr[root]]
+        while path:
+            v = path[-1]
+            i, end = pos[-1], ptr[v + 1]
+            while i < end:
+                w = succ[i]
+                i += 1
+                if index[w] < 0:
+                    break
+                if label[w] < 0 and index[w] < low[v]:
+                    # w is still on the stack: it belongs to an open component
+                    low[v] = index[w]
+            else:
+                path.pop()
+                pos.pop()
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        label[w] = comp
+                        if w == v:
+                            break
+                    comp += 1
+                if path and low[v] < low[path[-1]]:
+                    low[path[-1]] = low[v]
+                continue
+            pos[-1] = i
+            index[w] = low[w] = count
+            count += 1
+            stack.append(w)
+            path.append(w)
+            pos.append(ptr[w])
+    return np.array(label, dtype=np.int64)
+
+
+def cyclic(labels: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Per component: True iff it contains a cycle, that is, it has more than
+    one vertex or a self-loop."""
+    sizes = np.bincount(labels)
+    out = sizes > 1
+    out[labels[src[src == dst]]] = True
+    return out
+
+
+def downstream(
+    labels: np.ndarray, src: np.ndarray, dst: np.ndarray, marked: np.ndarray
+) -> np.ndarray:
+    """Per component: True iff it is marked or reachable from a marked one.
+
+    Edges are visited by falling source label, a topological order of the
+    condensation, so a component's flag is final before its out-edges are.
+    """
+    out = marked.copy()
+    lu, lv = labels[src], labels[dst]
+    order = np.argsort(-lu, kind="stable")
+    for u, v in zip(lu[order].tolist(), lv[order].tolist()):
+        if out[u]:
+            out[v] = True
+    return out

@@ -3,7 +3,7 @@ import pytest
 
 import tropical as tr
 from tropical import SemiringId
-from tropical.bench import random_matrix, run_bench
+from tropical.bench import random_eig_graph, random_matrix, run_bench
 
 
 def test_report_fields_and_ops_formula():
@@ -40,3 +40,18 @@ def test_bad_args():
         run_bench("matmul", 0, SemiringId.MAXPLUS, reps=1)
     with pytest.raises(ValueError):
         run_bench("matmul", 8, SemiringId.MAXPLUS, reps=0)
+
+
+def test_eig_graph_and_report():
+    a = random_eig_graph(40, np.random.default_rng(2))
+    rows = a.to_rows()
+    weights = [v for row in rows for v in row if v != tr.NEG_INF]
+    assert min(weights) >= -100 and max(weights) <= 100
+    assert tr.max_cycle_mean(a).strongly_connected
+    assert random_eig_graph(40, np.random.default_rng(2)) == a
+    r = run_bench("eig", 40, SemiringId.MAXPLUS, reps=2, seed=2)
+    # Karp: n rounds, each an add and a max per distinct edge
+    assert r.mops == pytest.approx(2 * 40 * len(weights) / r.mean_us)
+    assert r.checksum == run_bench("eig", 40, SemiringId.MAXPLUS, reps=1, seed=2).checksum
+    with pytest.raises(ValueError):
+        run_bench("eig", 40, SemiringId.MINPLUS, reps=1)

@@ -267,6 +267,21 @@ def test_usage_error_exit_2(capsys):
     assert code == 2
 
 
+def test_run_reuses_its_parser_without_carrying_state(fixtures, capsys):
+    cycles = str(fixtures / "cycles4_maxplus.graph")
+    chain = str(fixtures / "chain3_minplus.graph")
+    code, payload, _ = invoke_json(capsys, "eigvec", cycles, "--max-iter", "1")
+    assert (code, payload["iterations"], payload["converged"]) == (0, 1, False)
+    code, out, err = invoke(capsys, "sssp", chain)  # --source is missing
+    assert (code, out) == (2, "")
+    assert "--source" in err
+    code, out, _ = invoke(capsys, "eigvec", cycles)
+    assert code == 0
+    assert "not converged" not in out
+    code, out, _ = invoke(capsys, "sssp", chain, "--source", "0")
+    assert (code, out) == (0, "0 2 5\n")
+
+
 def test_source_out_of_range_exit_1(fixtures, capsys):
     code, _, err = invoke(
         capsys, "sssp", str(fixtures / "chain3_minplus.graph"), "--source", "9"

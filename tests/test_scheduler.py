@@ -174,6 +174,70 @@ def test_cycle_detected():
         tr.solve(g)
 
 
+CYCLE_MESSAGE = (
+    "precedence constraints contain a cycle (declare feedback edges for cyclic systems)"
+)
+
+
+def kahn_stuck(g):
+    """Tasks that Kahn's algorithm never releases: every task on a cycle of
+    non-feedback edges or downstream of one."""
+    indeg = [0] * g.n
+    out = [[] for _ in range(g.n)]
+    for e in g.edges:
+        if not e.feedback:
+            out[e.src].append(e.dst)
+            indeg[e.dst] += 1
+    queue = [t for t in range(g.n) if indeg[t] == 0]
+    while queue:
+        for v in out[queue.pop()]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                queue.append(v)
+    return tuple(t for t in range(g.n) if indeg[t] > 0)
+
+
+def test_cycle_error_names_cycles_and_their_descendants():
+    g = TaskGraph()
+    for t in range(8):
+        g.add_task(f"T{t}", 1)
+    # 1 <-> 2 is a cycle that 0 feeds and 3 follows; 5 has a self-loop and
+    # feeds 6; 4 and 7 are free, and the feedback edge 3 -> 0 does not count
+    for src, dst in [(0, 1), (1, 2), (2, 1), (2, 3), (2, 3), (5, 5), (5, 6), (4, 7)]:
+        g.add_constraint(src, dst)
+    g.add_feedback(3, 0, 1)
+    with pytest.raises(tr.CycleInAcyclicGraphError) as err:
+        tr.solve(g)
+    assert err.value.vertices == (1, 2, 3, 5, 6)
+    assert str(err.value) == CYCLE_MESSAGE
+
+
+def test_cycle_error_vertices_match_kahn():
+    rng = random.Random(7)
+    raised = 0
+    for _ in range(200):
+        g = TaskGraph()
+        n = rng.randint(1, 9)
+        for t in range(n):
+            g.add_task(f"T{t}", rng.randint(0, 5))
+        for _ in range(rng.randint(0, 2 * n)):
+            src, dst = rng.randrange(n), rng.randrange(n)
+            if rng.random() < 0.2:
+                g.add_feedback(src, dst, 1)
+            else:
+                g.add_constraint(src, dst)
+        stuck = kahn_stuck(g)
+        if not stuck:
+            tr.solve(g)
+            continue
+        raised += 1
+        with pytest.raises(tr.CycleInAcyclicGraphError) as err:
+            tr.solve(g)
+        assert err.value.vertices == stuck
+        assert str(err.value) == CYCLE_MESSAGE
+    assert raised > 50
+
+
 def test_feasibility_and_optimality_random():
     rng = random.Random(0)
     for _ in range(30):
