@@ -9,6 +9,13 @@ connected graph of n vertices and m distinct edges. The ``sssp`` count is one
 relaxation sweep over the edges, so its MOPS is an edge throughput, not a
 count of the rounds run; the ``eig`` count is Karp's n rounds, each relaxing
 every edge with one add and one max.
+
+The closure benchmark takes one of two input kinds: ``uniform`` (the
+default) fills every entry uniformly from [-1000, 1000]; ``graph`` draws a
+sparse graph of 16n edges with weights in [1, 1000] (negated for max-plus,
+1 for Boolean), the shape of the CLI's closure inputs. Each report carries a
+CRC-32 of the inputs (``checksum``) and one of the last repetition's result
+(``output_checksum``).
 """
 
 from __future__ import annotations
@@ -24,9 +31,11 @@ from .dense import DenseMatrix
 from .semiring import NEG_INF, SemiringId
 
 BENCH_OPS = ("matmul", "matvec", "closure", "sssp", "eig")
+BENCH_INPUTS = ("uniform", "graph")
 
-# mean out-degree of the sssp and eig graphs
+# mean out-degree of the sssp and eig graphs, and of the closure graphs
 GRAPH_DEGREE = 8
+CLOSURE_DEGREE = 16
 
 _ENTRY_LO = -1000
 _ENTRY_HI = 1000
@@ -47,6 +56,8 @@ class BenchReport:
     mean_us: float
     mops: float
     checksum: int
+    kind: str
+    output_checksum: int
 
 
 def random_matrix(n: int, rng: np.random.Generator) -> DenseMatrix:
@@ -69,11 +80,13 @@ def random_edges(n: int, degree: int, lo: int, hi: int, rng: np.random.Generator
     return u, v, w
 
 
-def random_graph(n: int, s: SemiringId, rng: np.random.Generator) -> sparse.CsrMatrix:
-    """CSR graph of GRAPH_DEGREE * n edges with weights in [1, 1000]. Max-plus
+def random_graph(
+    n: int, s: SemiringId, rng: np.random.Generator, degree: int = GRAPH_DEGREE
+) -> sparse.CsrMatrix:
+    """CSR graph of degree * n edges with weights in [1, 1000]. Max-plus
     weights are negated, so that every cycle is negative and the longest
     paths exist."""
-    u, v, w = random_edges(n, GRAPH_DEGREE, 1, _ENTRY_HI, rng)
+    u, v, w = random_edges(n, degree, 1, _ENTRY_HI, rng)
     if s is SemiringId.MAXPLUS:
         w = -w
     return sparse.from_triplets(n, n, np.column_stack((u, v, w)), s)
@@ -98,9 +111,25 @@ def _crc32(*arrays: np.ndarray) -> int:
     return checksum
 
 
-def run_bench(op: str, n: int, s: SemiringId, reps: int, seed: int = 0) -> BenchReport:
+def _digest(result) -> int:
+    """CRC-32 of a kernel's result: the int32 values of a matrix or a
+    vector, or the text of a cycle mean."""
+    if isinstance(result, DenseMatrix):
+        result = result._arr
+    if isinstance(result, (np.ndarray, list)):
+        return _crc32(np.asarray(result, dtype=np.int32))
+    return zlib.crc32(str(result).encode())
+
+
+def run_bench(
+    op: str, n: int, s: SemiringId, reps: int, seed: int = 0, kind: str = "uniform"
+) -> BenchReport:
     if op not in BENCH_OPS:
         raise ValueError(f"unknown benchmark operation {op!r}")
+    if kind not in BENCH_INPUTS:
+        raise ValueError(f"unknown benchmark input kind {kind!r}")
+    if kind == "graph" and op != "closure":
+        raise ValueError("the graph input kind applies to the closure benchmark only")
     if n < 1:
         raise ValueError("size must be >= 1")
     if reps < 1:
@@ -132,7 +161,10 @@ def run_bench(op: str, n: int, s: SemiringId, reps: int, seed: int = 0) -> Bench
         work = lambda: dense.matvec(a, x, s)
         ops = 2 * n**2
     else:
-        a = random_matrix(n, rng)
+        if kind == "graph":
+            a = sparse.to_dense(random_graph(n, s, rng, CLOSURE_DEGREE))
+        else:
+            a = random_matrix(n, rng)
         checksum = _crc32(a._arr)
         # raw sweep: the kernel is timed without the negative-cycle diagnosis
         work = lambda: dense._closure_kernel(a, s)
@@ -140,7 +172,7 @@ def run_bench(op: str, n: int, s: SemiringId, reps: int, seed: int = 0) -> Bench
     elapsed = []
     for _ in range(reps):
         t0 = time.perf_counter()
-        work()
+        result = work()
         t1 = time.perf_counter()
         elapsed.append((t1 - t0) * 1e6)
     mean_us = sum(elapsed) / len(elapsed)
@@ -155,4 +187,6 @@ def run_bench(op: str, n: int, s: SemiringId, reps: int, seed: int = 0) -> Bench
         mean_us=mean_us,
         mops=mops,
         checksum=checksum,
+        kind=kind,
+        output_checksum=_digest(result),
     )

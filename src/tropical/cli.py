@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dense, graph, io as tio, scheduler, semiring as sr, spectral
-from .bench import BENCH_OPS, run_bench
+from .bench import BENCH_INPUTS, BENCH_OPS, run_bench
 from .dense import DenseMatrix
 from .errors import GraphParseError, TropicalError
 from .semiring import NEG_INF, POS_INF, SemiringId
@@ -69,10 +69,10 @@ def _load_graph(path: str, want_sparse: bool, closure_guard: int | None = None):
     return tio.parse_graph(_read_file(path), sparse=want_sparse, check_shape=check)
 
 
-def _guard_closure(rows: int, cols: int, guard: int) -> None:
+def _guard_closure(rows: int, cols: int, guard: int, what: str = "closure") -> None:
     if max(rows, cols) > guard:
         raise _GuardRefusal(
-            f"refusing closure of a {rows}x{cols} matrix (guard is {guard}; "
+            f"refusing {what} of a {rows}x{cols} matrix (guard is {guard}; "
             f"raise --closure-guard to override)"
         )
 
@@ -148,8 +148,12 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--reps", type=int, default=3)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument(
+        "--input", choices=BENCH_INPUTS, default="uniform",
+        help="closure input: uniform entries or a sparse graph of 16n edges",
+    )
+    c.add_argument(
         "--closure-guard", type=_non_negative_int, default=DEFAULT_CLOSURE_GUARD,
-        help="largest n accepted for the closure benchmark",
+        help="largest n accepted for the dense benchmarks (matmul, matvec, closure)",
     )
     c.add_argument("--json", action="store_true")
     return p
@@ -318,9 +322,9 @@ def _cmd_schedule(args):
 
 def _cmd_bench(args):
     s = sr.parse_semiring(args.semiring)
-    if args.op == "closure":
-        _guard_closure(args.size, args.size, args.closure_guard)
-    report = run_bench(args.op, args.size, s, args.reps, args.seed)
+    if args.op in ("matmul", "matvec", "closure"):
+        _guard_closure(args.size, args.size, args.closure_guard, args.op)
+    report = run_bench(args.op, args.size, s, args.reps, args.seed, args.input)
     payload = {
         "command": "bench",
         "op": report.op,
@@ -332,6 +336,8 @@ def _cmd_bench(args):
         "mean_us": round(report.mean_us, 3),
         "mops": round(report.mops, 3),
         "checksum": report.checksum,
+        "input": report.kind,
+        "output_checksum": report.output_checksum,
     }
     lines = [
         f"op {payload['op']}",
@@ -343,6 +349,8 @@ def _cmd_bench(args):
         f"mean_us {payload['mean_us']}",
         f"mops {payload['mops']}",
         f"checksum {payload['checksum']}",
+        f"input {payload['input']}",
+        f"output_checksum {payload['output_checksum']}",
     ]
     return payload, lines
 

@@ -272,20 +272,132 @@ def _closure_kernel(a: DenseMatrix, s: SemiringId) -> np.ndarray:
     rank-1 update D <- D (+) D[:, k] (x) D[k, :] read from the pass-start
     values. The lattice semirings (maxmin, minmax, boolean) always satisfy
     this: absorption, x (+) (x (x) y) == x, keeps row and column k fixed
-    whatever D_kk is; they run in place on int32, or on bool for 0/1 input.
-    Min-plus and max-plus run on int64 with the zero held as the wide
-    constant -/+_WIDE, decoded to its sentinel once at the end. Only a
-    divergent pass of theirs (min-plus D_kk < 0, max-plus D_kk > 0) replays
-    the scalar order in stages.
+    whatever D_kk is. Each closure runs on the narrowest dtype that is exact
+    for its input; all but the int64 fallback and the 0/1 Boolean sweep run
+    one rank-1 loop, ``_sweep``:
+
+    * Min-plus / max-plus run on int32 when (n - 1) * B <= 2^28, where B is
+      the largest |v| over the entries that differ from zero(s). The zero is
+      held as +Z (min-plus) or -Z (max-plus), Z = 3 * 2^28, and an entry
+      beyond the cut 2^28 decodes to zero(s). Before the first divergent
+      pass every stored value is an optimal path over intermediates < k, so
+      a path of real edges lies within +-(n - 1) * B (inside the cut), and a
+      path through a Z edge has |value| >= Z - (n - 2) * B (beyond the cut);
+      the real one always wins, every sum stays within 2Z < 2^31, and no
+      sum reaches the saturation range of the scalar loop. So the sweep
+      needs neither a clip nor a saturation check. At the first divergent
+      pass (min-plus D_kk < 0, max-plus D_kk > 0) it stops, and the input
+      is swept again by ``_closure_plus``: int64 with the zero held as
+      -/+_WIDE, a saturation check per pass, and the scalar order replayed
+      in stages for each divergent pass. Inputs the bound rejects go there
+      directly.
+    * Max-min / min-max only compare values, so any strictly increasing
+      recoding commutes with the sweep. When the finite values span at most
+      _CODE_SPAN, they are shifted around their midpoint into int16 codes
+      [-32767, 32766], NEG_INF / POS_INF are clipped to -32768 / 32767, and
+      the codes are decoded after the sweep. Wider spans sweep on int32.
+    * Boolean runs on bool when every entry is 0 or 1, else bitwise on int32
+      (& and | do not commute with a recoding).
     """
     if a.rows != a.cols:
         raise ValueError("closure requires a square matrix")
     arr = a._arr
     if s is SemiringId.MAXPLUS or s is SemiringId.MINPLUS:
-        return _closure_plus(arr, s)
+        d = _closure_narrow_plus(arr, s)
+        return _closure_plus(arr, s) if d is None else d
     if s is SemiringId.BOOLEAN and arr.min() >= 0 and arr.max() <= 1:
         return _closure_bool(arr)
-    return _closure_lattice(arr, s)
+    d = None if s is SemiringId.BOOLEAN else _closure_order(arr, s)
+    if d is None:
+        d = arr.copy()
+        _sweep(d, s, sr.one(s))
+    return d
+
+
+# (x) and (+) of each semiring on an encoded array, for the rank-1 sweep
+_SWEEP_OPS = {
+    SemiringId.MAXPLUS: (np.add, np.maximum),
+    SemiringId.MINPLUS: (np.add, np.minimum),
+    SemiringId.MAXMIN: (np.minimum, np.maximum),
+    SemiringId.MINMAX: (np.maximum, np.minimum),
+    SemiringId.BOOLEAN: (np.bitwise_and, np.bitwise_or),
+}
+
+
+# Elements of the product buffer of the rank-1 sweep: each pass runs in row
+# chunks of this size. Up to n = 512 that is one chunk; at n = 1024 it was
+# 20-30 % faster than one n x n buffer (int32 and int16 alike).
+_SWEEP_CHUNK = 1 << 18
+
+
+def _sweep(d: np.ndarray, s: SemiringId, one: int) -> bool:
+    """The rank-1 closure loop, in place on an encoded array whose one(s)
+    is ``one``: the diagonal step, then D <- D (+) D[:, k] (x) D[k, :] for
+    every k. Returns False, leaving d partly swept, at the first plus-
+    semiring pass whose D_kk is not ``one`` (a divergent pass)."""
+    mul, add = _SWEEP_OPS[s]
+    plus = s is SemiringId.MAXPLUS or s is SemiringId.MINPLUS
+    n = d.shape[0]
+    d[np.diag_indices(n)] = add(np.diagonal(d), one)
+    step = max(1, _SWEEP_CHUNK // n)
+    buf = np.empty(min(n, step) * n, dtype=d.dtype)
+    for k in range(n):
+        if plus and d[k, k] != one:
+            return False
+        col, row = d[:, k], d[k]
+        for i0 in range(0, n, step):
+            part = d[i0 : i0 + step]
+            out = buf[: part.size].reshape(part.shape)
+            mul(col[i0 : i0 + step, None], row, out=out)
+            add(part, out, out=part)
+    return True
+
+
+# Narrow int32 plus-semiring sweep: the zero is held as +-_NARROW_ZERO, and
+# entries beyond +-_NARROW_CUT decode to it; exact when (n - 1) * B <= the
+# cut (see _closure_kernel).
+_NARROW_ZERO = 3 * 2**28
+_NARROW_CUT = 2**28
+
+
+def _closure_narrow_plus(arr: np.ndarray, s: SemiringId) -> np.ndarray | None:
+    """Min-plus / max-plus sweep on int32; None when the bound on the
+    entries fails or a pass diverges."""
+    n = arr.shape[0]
+    zero = sr.zero(s)
+    live = arr != zero
+    bound = max(-int(arr.min(where=live, initial=0)), int(arr.max(where=live, initial=0)))
+    if (n - 1) * bound > _NARROW_CUT:
+        return None
+    d = arr.copy()
+    d[~live] = _NARROW_ZERO if s is SemiringId.MINPLUS else -_NARROW_ZERO
+    if not _sweep(d, s, 0):
+        return None
+    d[d > _NARROW_CUT if s is SemiringId.MINPLUS else d < -_NARROW_CUT] = zero
+    return d
+
+
+# Widest span hi - lo of finite values that int16 order codes hold: the
+# finite values take the codes -32767..32766, the sentinels -32768 / 32767.
+_CODE_SPAN = 65533
+
+
+def _closure_order(arr: np.ndarray, s: SemiringId) -> np.ndarray | None:
+    """Max-min / min-max sweep on int16 order codes; None when the finite
+    values span more than _CODE_SPAN."""
+    lo = int(arr.min(where=arr != sr.NEG_INF, initial=sr.POS_INF))
+    hi = int(arr.max(where=arr != sr.POS_INF, initial=sr.NEG_INF))
+    if hi - lo > _CODE_SPAN:
+        return None
+    # the ceiling of the midpoint, kept far enough from the sentinels that
+    # both clip to the extreme codes
+    off = min(max((lo + hi + 1) >> 1, sr.NEG_INF + 32768), sr.POS_INF - 32767)
+    codes = (np.clip(arr, off - 32768, off + 32767) - off).astype(np.int16)
+    _sweep(codes, s, 32767 if s is SemiringId.MAXMIN else -32768)
+    d = codes.astype(_I32) + off
+    d[codes == -32768] = sr.NEG_INF
+    d[codes == 32767] = sr.POS_INF
+    return d
 
 
 # Wide int64 stand-in for the zero of a plus semiring during the sweep: the
@@ -299,13 +411,6 @@ _WIDE_CUT = _I64(2**60)
 # Elements of the int64 product buffer of a plus-semiring closure pass: the
 # rank-1 update runs in row chunks of this size, which stay in cache.
 _CLOSURE_CHUNK = 1 << 15
-
-# (x) and (+) of the semirings whose closure passes are all rank-1 updates
-_LATTICE_OPS = {
-    SemiringId.MAXMIN: (np.minimum, np.maximum),
-    SemiringId.MINMAX: (np.maximum, np.minimum),
-    SemiringId.BOOLEAN: (np.bitwise_and, np.bitwise_or),
-}
 
 
 def _closure_plus(arr: np.ndarray, s: SemiringId) -> np.ndarray:
@@ -388,18 +493,6 @@ def _staged_pass(d: np.ndarray, k: int, relax) -> None:
     relax(bot[:, :k], col, rowk[:k])
     relax(bot[:, k : k + 1], col, rowk[k : k + 1])
     relax(bot[:, k + 1 :], bot[:, k], rowk[k + 1 :])
-
-
-def _closure_lattice(arr: np.ndarray, s: SemiringId) -> np.ndarray:
-    """In-place int32 sweep for maxmin, minmax and non-0/1 boolean input."""
-    mul, add = _LATTICE_OPS[s]
-    d = arr.copy()
-    d[np.diag_indices(d.shape[0])] = add(np.diagonal(d), sr.one(s))
-    buf = np.empty_like(d)
-    for k in range(d.shape[0]):
-        mul(d[:, k, None], d[k], out=buf)
-        add(d, buf, out=d)
-    return d
 
 
 def _closure_bool(arr: np.ndarray) -> np.ndarray:

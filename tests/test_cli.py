@@ -331,6 +331,24 @@ def test_negative_closure_guard_is_a_usage_error(fixtures, capsys):
     assert code == 2
 
 
+def test_bench_guard_runs_before_the_operands_are_built(capsys):
+    # the closure guard fences every dense bench op: without it, matvec
+    # would build a 1500 x 1500 operand before refusing nothing
+    for op in ("matvec", "matmul"):
+        tracemalloc.start()
+        try:
+            code, _, err = invoke(
+                capsys, "bench", "--op", op, "--size", "1500", "--reps", "1",
+                "--closure-guard", "1000",
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "guard" in err
+        assert peak < 2_000_000
+
+
 def test_bench_report(capsys):
     code, payload, _ = invoke_json(
         capsys, "bench", "--op", "matmul", "--size", "16", "--reps", "3"
