@@ -4,9 +4,11 @@ Five semirings (max-plus, min-plus, max-min, min-max, Boolean) over 32-bit
 integer values with reserved infinity sentinels; dense and CSR matrices;
 path/reachability/bottleneck solvers; spectral analysis (maximum cycle mean
 and eigenvectors); and a precedence-constrained scheduler.
+
+The benchmark harness, ``run_bench`` and ``BenchReport``, is imported on
+first use.
 """
 
-from .bench import BenchReport, run_bench
 from .dense import (
     DenseMatrix,
     closure,
@@ -28,6 +30,7 @@ from .errors import (
     NegativeCycleError,
     NoCycleError,
     PositiveCycleError,
+    SaturationError,
     TropicalError,
 )
 from .graph import all_pairs_paths, bottleneck_paths, reachability, sssp
@@ -82,6 +85,7 @@ __all__ = [
     "NegativeCycleError",
     "NoCycleError",
     "PositiveCycleError",
+    "SaturationError",
     "ScheduleResult",
     "SemiringId",
     "TaskGraph",
@@ -133,3 +137,11 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in ("BenchReport", "run_bench"):
+        from . import bench
+
+        return getattr(bench, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

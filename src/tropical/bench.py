@@ -8,14 +8,17 @@ graph of m edges, and 2*n*m for ``eig`` (``max_cycle_mean``) on a strongly
 connected graph of n vertices and m distinct edges. The ``sssp`` count is one
 relaxation sweep over the edges, so its MOPS is an edge throughput, not a
 count of the rounds run; the ``eig`` count is Karp's n rounds, each relaxing
-every edge with one add and one max.
+every edge with one add and one max. ``render`` times the --json text of an
+n x n matrix (``io.format_array``), and its MOPS counts the n^2 values
+rendered per microsecond.
 
-The closure benchmark takes one of two input kinds: ``uniform`` (the
-default) fills every entry uniformly from [-1000, 1000]; ``graph`` draws a
-sparse graph of 16n edges with weights in [1, 1000] (negated for max-plus,
-1 for Boolean), the shape of the CLI's closure inputs. Each report carries a
+The closure and render benchmarks take one of two input kinds: ``uniform``
+(the default) fills every entry uniformly from [-1000, 1000]; ``graph`` draws
+a sparse graph of 16n edges with weights in [1, 1000] (negated for max-plus,
+1 for Boolean), the shape of the CLI's closure inputs. Render renders the
+uniform matrix itself, or the closure of the graph. Each report carries a
 CRC-32 of the inputs (``checksum``) and one of the last repetition's result
-(``output_checksum``).
+(``output_checksum``; for render, that of the rendered text).
 """
 
 from __future__ import annotations
@@ -28,9 +31,10 @@ import numpy as np
 
 from . import dense, graph, sparse, spectral, structure
 from .dense import DenseMatrix
+from .io import format_array
 from .semiring import NEG_INF, SemiringId
 
-BENCH_OPS = ("matmul", "matvec", "closure", "sssp", "eig")
+BENCH_OPS = ("matmul", "matvec", "closure", "sssp", "eig", "render")
 BENCH_INPUTS = ("uniform", "graph")
 
 # mean out-degree of the sssp and eig graphs, and of the closure graphs
@@ -113,7 +117,7 @@ def _crc32(*arrays: np.ndarray) -> int:
 
 def _digest(result) -> int:
     """CRC-32 of a kernel's result: the int32 values of a matrix or a
-    vector, or the text of a cycle mean."""
+    vector, or the text of a cycle mean or a rendering."""
     if isinstance(result, DenseMatrix):
         result = result._arr
     if isinstance(result, (np.ndarray, list)):
@@ -128,8 +132,8 @@ def run_bench(
         raise ValueError(f"unknown benchmark operation {op!r}")
     if kind not in BENCH_INPUTS:
         raise ValueError(f"unknown benchmark input kind {kind!r}")
-    if kind == "graph" and op != "closure":
-        raise ValueError("the graph input kind applies to the closure benchmark only")
+    if kind == "graph" and op not in ("closure", "render"):
+        raise ValueError("the graph input kind applies to the closure and render benchmarks only")
     if n < 1:
         raise ValueError("size must be >= 1")
     if reps < 1:
@@ -160,6 +164,15 @@ def run_bench(
         checksum = _crc32(a._arr, np.array(x, dtype=np.int32))
         work = lambda: dense.matvec(a, x, s)
         ops = 2 * n**2
+    elif op == "render":
+        if kind == "graph":
+            a = sparse.to_dense(random_graph(n, s, rng, CLOSURE_DEGREE))
+            arr = dense._closure_kernel(a, s)
+        else:
+            arr = random_matrix(n, rng)._arr
+        checksum = _crc32(arr)
+        work = lambda: format_array(arr, as_json=True)
+        ops = n * n
     else:
         if kind == "graph":
             a = sparse.to_dense(random_graph(n, s, rng, CLOSURE_DEGREE))

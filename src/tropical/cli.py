@@ -1,9 +1,15 @@
 """Command-line front end.
 
-Every subcommand builds one payload dict; the text rendering and the --json
-rendering are both generated from that payload, so the two modes always carry
-the same numeric content. Sentinels print as ``inf`` / ``-inf`` in text and
-appear as the strings "inf" / "-inf" in JSON (JSON has no infinities).
+Every subcommand builds one payload dict and its text lines from the same
+values, so the two modes always carry the same numeric content. Sentinels
+print as ``inf`` / ``-inf`` in text and appear as the strings "inf" / "-inf"
+in JSON (JSON has no infinities).
+
+Integer matrices and the sssp distances are rendered straight from their
+array by ``io.format_array``, which formats each distinct value once: under
+--json as JSON text that ``run`` splices into the payload in place of the
+value, otherwise as the text lines. Every other payload is printed with one
+``json.dumps`` call.
 
 Exit codes: 0 success, 1 library-level failure (e.g. a negative cycle, or
 running out of memory), 2 parse or usage errors.
@@ -17,23 +23,11 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import dense, graph, io as tio, scheduler, semiring as sr, spectral
-from .bench import BENCH_INPUTS, BENCH_OPS, run_bench
-from .dense import DenseMatrix
 from .errors import GraphParseError, TropicalError
-from .semiring import NEG_INF, POS_INF, SemiringId
+from .semiring import SemiringId
 
 DEFAULT_CLOSURE_GUARD = 2048
-
-
-def _fmt_val(v: int):
-    if v == POS_INF:
-        return "inf"
-    if v == NEG_INF:
-        return "-inf"
-    return v
 
 
 def _fmt_float(v: float):
@@ -42,15 +36,6 @@ def _fmt_float(v: float):
     if v == float("inf"):
         return "inf"
     return round(v, 6)
-
-
-def _matrix_payload(m: DenseMatrix) -> list[list]:
-    arr = m._arr
-    rows = arr.tolist()
-    if arr.min() == NEG_INF or arr.max() == POS_INF:
-        for i, j in zip(*np.nonzero((arr == NEG_INF) | (arr == POS_INF))):
-            rows[i][j] = _fmt_val(rows[i][j])
-    return rows
 
 
 def _read_file(path: str) -> str:
@@ -89,6 +74,8 @@ class _GuardRefusal(Exception):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .bench import BENCH_INPUTS, BENCH_OPS
+
     p = argparse.ArgumentParser(
         prog="tropical",
         description="Tropical linear algebra analysis of graph and schedule files",
@@ -149,30 +136,37 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--seed", type=int, default=0)
     c.add_argument(
         "--input", choices=BENCH_INPUTS, default="uniform",
-        help="closure input: uniform entries or a sparse graph of 16n edges",
+        help="closure and render input: uniform entries or a sparse graph of 16n edges",
     )
     c.add_argument(
         "--closure-guard", type=_non_negative_int, default=DEFAULT_CLOSURE_GUARD,
-        help="largest n accepted for the dense benchmarks (matmul, matvec, closure)",
+        help="largest n accepted for the dense benchmarks (matmul, matvec, closure, render)",
     )
     c.add_argument("--json", action="store_true")
     return p
 
 
 # -- subcommand handlers: each returns (payload, text_lines) -------------------
-# Matrix and sssp commands leave text_lines as None under --json: rendering
-# n^2 or n values as text is only worth it when the text is printed.
+# Matrix and sssp commands render only the mode that is printed: the JSON
+# text of the array under --json (text_lines None), else its lines, joined
+# into one string.
 
-def _matrix_result(args, payload: dict, m: DenseMatrix):
-    payload["matrix"] = _matrix_payload(m)
-    return payload, None if args.json else _matrix_lines(payload["matrix"])
+class _Json(str):
+    """JSON text that ``_dumps`` splices into a payload as it is."""
+
+
+def _array_result(args, payload: dict, key: str, arr):
+    if args.json:
+        payload[key] = _Json(tio.format_array(arr, as_json=True))
+        return payload, None
+    return payload, [tio.format_array(arr)]
 
 
 def _cmd_closure(args):
     m, s = _load_graph(args.file, args.sparse, args.closure_guard)
     result = graph.all_pairs_paths(m, s)
     payload = {"command": "closure", "semiring": sr.TOKEN_OF[s], "n": result.rows}
-    return _matrix_result(args, payload, result)
+    return _array_result(args, payload, "matrix", result._arr)
 
 
 def _cmd_apsp(args):
@@ -185,7 +179,7 @@ def _cmd_reach(args):
     m, s = _load_graph(args.file, args.sparse, args.closure_guard)
     result = graph.reachability(m, s)
     payload = {"command": "reach", "semiring": "boolean", "n": result.rows}
-    return _matrix_result(args, payload, result)
+    return _array_result(args, payload, "matrix", result._arr)
 
 
 def _cmd_bottleneck(args):
@@ -194,19 +188,14 @@ def _cmd_bottleneck(args):
         raise ValueError("bottleneck requires a maxmin graph file")
     result = graph.bottleneck_paths(m)
     payload = {"command": "bottleneck", "semiring": "maxmin", "n": result.rows}
-    return _matrix_result(args, payload, result)
+    return _array_result(args, payload, "matrix", result._arr)
 
 
 def _cmd_sssp(args):
     m, s = _load_graph(args.file, args.sparse)
     d = graph.sssp(m, args.source, s)
-    payload = {
-        "command": "sssp",
-        "semiring": sr.TOKEN_OF[s],
-        "source": args.source,
-        "distances": [_fmt_val(v) for v in d],
-    }
-    return payload, None if args.json else [" ".join(str(v) for v in payload["distances"])]
+    payload = {"command": "sssp", "semiring": sr.TOKEN_OF[s], "source": args.source}
+    return _array_result(args, payload, "distances", d)
 
 
 def _cmd_matmul(args):
@@ -220,7 +209,7 @@ def _cmd_matmul(args):
     payload = {
         "command": "matmul", "semiring": sr.TOKEN_OF[s_a], "rows": c.rows, "cols": c.cols
     }
-    return _matrix_result(args, payload, c)
+    return _array_result(args, payload, "matrix", c._arr)
 
 
 def _require_maxplus(s: SemiringId, what: str) -> None:
@@ -321,8 +310,10 @@ def _cmd_schedule(args):
 
 
 def _cmd_bench(args):
+    from .bench import run_bench
+
     s = sr.parse_semiring(args.semiring)
-    if args.op in ("matmul", "matvec", "closure"):
+    if args.op in ("matmul", "matvec", "closure", "render"):
         _guard_closure(args.size, args.size, args.closure_guard, args.op)
     report = run_bench(args.op, args.size, s, args.reps, args.seed, args.input)
     payload = {
@@ -353,10 +344,6 @@ def _cmd_bench(args):
         f"output_checksum {payload['output_checksum']}",
     ]
     return payload, lines
-
-
-def _matrix_lines(rows: list[list]) -> list[str]:
-    return [" ".join(str(v) for v in row) for row in rows]
 
 
 _HANDLERS = {
@@ -401,11 +388,23 @@ def run(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.json:
-        print(json.dumps(payload))
+        print(_dumps(payload))
     else:
         for line in lines:
             print(line)
     return 0
+
+
+def _dumps(payload: dict) -> str:
+    """``json.dumps(payload)``, with the text of each ``_Json`` value
+    spliced in as it is."""
+    if not any(isinstance(v, _Json) for v in payload.values()):
+        return json.dumps(payload)
+    items = (
+        f"{json.dumps(k)}: {v if isinstance(v, _Json) else json.dumps(v)}"
+        for k, v in payload.items()
+    )
+    return "{" + ", ".join(items) + "}"
 
 
 def main() -> None:

@@ -286,11 +286,13 @@ def _closure_kernel(a: DenseMatrix, s: SemiringId) -> np.ndarray:
       the real one always wins, every sum stays within 2Z < 2^31, and no
       sum reaches the saturation range of the scalar loop. So the sweep
       needs neither a clip nor a saturation check. At the first divergent
-      pass (min-plus D_kk < 0, max-plus D_kk > 0) it stops, and the input
-      is swept again by ``_closure_plus``: int64 with the zero held as
-      -/+_WIDE, a saturation check per pass, and the scalar order replayed
-      in stages for each divergent pass. Inputs the bound rejects go there
-      directly.
+      pass k (min-plus D_kk < 0, max-plus D_kk > 0) it stops, and
+      ``_closure_plus`` resumes at pass k from that state: int64 with the
+      zero held as -/+_WIDE (the entries beyond the cut), a saturation check
+      per pass, and the scalar order replayed in stages for each divergent
+      pass. Up to pass k the wide sweep would have held the same finite
+      values, since none of its sums saturates either. Inputs the bound
+      rejects are swept by ``_closure_plus`` from the start.
     * Max-min / min-max only compare values, so any strictly increasing
       recoding commutes with the sweep. When the finite values span at most
       _CODE_SPAN, they are shifted around their midpoint into int16 codes
@@ -303,7 +305,7 @@ def _closure_kernel(a: DenseMatrix, s: SemiringId) -> np.ndarray:
         raise ValueError("closure requires a square matrix")
     arr = a._arr
     if s is SemiringId.MAXPLUS or s is SemiringId.MINPLUS:
-        d = _closure_narrow_plus(arr, s)
+        d = _closure_narrow_plus(arr, s, resume=True)
         return _closure_plus(arr, s) if d is None else d
     if s is SemiringId.BOOLEAN and arr.min() >= 0 and arr.max() <= 1:
         return _closure_bool(arr)
@@ -360,9 +362,12 @@ _NARROW_ZERO = 3 * 2**28
 _NARROW_CUT = 2**28
 
 
-def _closure_narrow_plus(arr: np.ndarray, s: SemiringId) -> np.ndarray | None:
+def _closure_narrow_plus(
+    arr: np.ndarray, s: SemiringId, resume: bool = False
+) -> np.ndarray | None:
     """Min-plus / max-plus sweep on int32; None when the bound on the
-    entries fails or a pass diverges."""
+    entries fails. A divergent pass k also returns None, unless ``resume``
+    asks ``_closure_plus`` to finish the sweep from pass k."""
     n = arr.shape[0]
     zero = sr.zero(s)
     live = arr != zero
@@ -371,9 +376,16 @@ def _closure_narrow_plus(arr: np.ndarray, s: SemiringId) -> np.ndarray | None:
         return None
     d = arr.copy()
     d[~live] = _NARROW_ZERO if s is SemiringId.MINPLUS else -_NARROW_ZERO
-    if not _sweep(d, s, 0):
+    done = _sweep(d, s, 0)
+    if not (done or resume):
         return None
-    d[d > _NARROW_CUT if s is SemiringId.MINPLUS else d < -_NARROW_CUT] = zero
+    cut = d > _NARROW_CUT if s is SemiringId.MINPLUS else d < -_NARROW_CUT
+    if not done:
+        # every pass before k left its own D_jj at 0, so k is the first
+        # nonzero diagonal entry
+        k = int(np.flatnonzero(np.diagonal(d))[0])
+        return _closure_plus(d, s, k, cut)
+    d[cut] = zero
     return d
 
 
@@ -413,12 +425,16 @@ _WIDE_CUT = _I64(2**60)
 _CLOSURE_CHUNK = 1 << 15
 
 
-def _closure_plus(arr: np.ndarray, s: SemiringId) -> np.ndarray:
+def _closure_plus(
+    arr: np.ndarray, s: SemiringId, start: int = 0, zero: np.ndarray | None = None
+) -> np.ndarray:
     """Min-plus / max-plus sweep on the wide encoding, decoded once at the end.
 
     A rank-1 pass saturates only when a finite sum can leave
     [FINITE_MIN, FINITE_MAX]; the O(n) bound check on row and column k
-    decides whether the n^2 clip runs.
+    decides whether the n^2 clip runs. The sweep runs passes ``start``..n-1
+    over arr, the input or a state after passes 0..start-1; ``zero`` marks
+    its zero(s) entries (by default, those equal to zero(s)).
     """
     if s is SemiringId.MINPLUS:
         zero_w, add = _WIDE, np.minimum
@@ -433,7 +449,7 @@ def _closure_plus(arr: np.ndarray, s: SemiringId) -> np.ndarray:
 
     n = arr.shape[0]
     d = arr.astype(_I64)
-    d[arr == sr.zero(s)] = zero_w
+    d[arr == sr.zero(s) if zero is None else zero] = zero_w
     d[np.diag_indices(n)] = add(np.diagonal(d), 0)
     step = max(1, _CLOSURE_CHUNK // n)
     buf = np.empty(min(n, step) * n, dtype=_I64)
@@ -452,7 +468,7 @@ def _closure_plus(arr: np.ndarray, s: SemiringId) -> np.ndarray:
                 np.copyto(out, zero_w, where=zero)
             add(part, out, out=part)
 
-    for k in range(n):
+    for k in range(start, n):
         if d[k, k] != 0:
             _staged_pass(d, k, relax)
             continue

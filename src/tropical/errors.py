@@ -30,6 +30,11 @@ class PositiveCycleError(TropicalError):
     """
 
 
+class SaturationError(TropicalError):
+    """A result lies outside the range its 32-bit values can hold, so it
+    would only come out saturated."""
+
+
 class NoCycleError(TropicalError):
     """The graph contains no cycle, so no cycle mean / period exists."""
 

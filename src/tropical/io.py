@@ -188,19 +188,73 @@ def format_graph(matrix, s: SemiringId) -> str:
         header = f"{rows} {len(w)} {sr.TOKEN_OF[s]}"
     else:
         header = f"{rows} {cols} {len(w)} {sr.TOKEN_OF[s]}"
+    codes, table = _token_table(w, "inf", "-inf")
+    weights = np.array(table, dtype=object)[codes].tolist()
     lines = [header]
-    lines += [
-        f"{a} {b} {_format_weight(c)}" for a, b, c in zip(u.tolist(), v.tolist(), w.tolist())
-    ]
+    lines += [f"{a} {b} {c}" for a, b, c in zip(u.tolist(), v.tolist(), weights)]
     return "\n".join(lines) + "\n"
 
 
-def _format_weight(w: int) -> str:
-    if w == POS_INF:
-        return "inf"
-    if w == NEG_INF:
-        return "-inf"
-    return str(w)
+def format_array(arr, as_json: bool = False) -> str:
+    """Decimal text of a 1-D or 2-D integer array.
+
+    Text form: one line per row, values separated by single spaces,
+    sentinels as inf / -inf. JSON form: the text ``json.dumps`` gives for
+    the nested lists, with sentinels as the strings "inf" / "-inf" (JSON has
+    no infinities). Each distinct value is formatted once, in a token table;
+    one object-array take gathers the tokens of every entry.
+    """
+    arr = np.asarray(arr)
+    if as_json:
+        codes, table = _token_table(arr, '"inf"', '"-inf"')
+    else:
+        codes, table = _token_table(arr, "inf", "-inf")
+    tokens = np.array(table, dtype=object)[codes.reshape(-1, arr.shape[-1])]
+    sep = ", " if as_json else " "
+    lines = [sep.join(row) for row in tokens.tolist()]
+    if not as_json:
+        return "\n".join(lines)
+    if arr.ndim == 1:
+        return "[" + lines[0] + "]"
+    return "[[" + "], [".join(lines) + "]]"
+
+
+# Widest span of finite values that the value table covers even when the
+# array has fewer entries: the table's object array takes 8 bytes a value.
+_TABLE_SPAN = 1 << 16
+
+
+def _token_table(arr: np.ndarray, inf: str, neg_inf: str) -> tuple[np.ndarray, list]:
+    """(codes, table) with table[codes] the token of every entry.
+
+    When the finite values span fewer values than max(arr.size, _TABLE_SPAN),
+    the table has a slot for every value from their min lo to their max hi,
+    between the tokens of NEG_INF and POS_INF; a clip to [lo - 1, hi + 1]
+    (neither of them a value of arr) yields the codes, and only the values
+    that occur are formatted. Wider spans take the table of the distinct
+    values from ``np.unique``, whose sort is the costlier path.
+    """
+    finite = (arr != NEG_INF) & (arr != POS_INF)
+    lo = int(arr.min(where=finite, initial=sr.FINITE_MAX))
+    hi = int(arr.max(where=finite, initial=sr.FINITE_MIN))
+    if hi < lo:  # no finite value
+        lo, hi = 0, -1
+    if hi - lo < max(arr.size, _TABLE_SPAN):
+        codes = np.clip(arr, lo - 1, hi + 1) - (lo - 1)
+        seen = np.zeros(hi - lo + 3, dtype=bool)
+        seen[codes] = True
+        table = [None] * seen.size
+        for c in np.flatnonzero(seen).tolist():
+            table[c] = str(c + lo - 1)
+        table[0], table[-1] = neg_inf, inf
+        return codes, table
+    values, codes = np.unique(arr, return_inverse=True)
+    table = list(map(str, values.tolist()))
+    if values[0] == NEG_INF:
+        table[0] = neg_inf
+    if values[-1] == POS_INF:
+        table[-1] = inf
+    return codes, table
 
 
 def parse_schedule(text: str) -> TaskGraph:

@@ -11,6 +11,9 @@ acyclic edge set. Feedback edges (declared for cyclic, repeating systems)
 are excluded from the fixed-point solve; they only enter the cycle-time /
 throughput analysis, where the minimum achievable period is the maximum
 cycle mean of the full constraint matrix.
+
+Every start and completion must lie in [0, FINITE_MAX]; ``solve`` raises
+SaturationError for a time outside it rather than return a saturated one.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ import numpy as np
 
 from . import dense, structure
 from .dense import DenseMatrix
-from .errors import CycleInAcyclicGraphError, NoCycleError
+from .errors import CycleInAcyclicGraphError, NoCycleError, SaturationError
 from .graph import relax
-from .semiring import NEG_INF, SemiringId
+from .semiring import FINITE_MAX, NEG_INF, SemiringId
 from .spectral import CycleMean, max_cycle_mean
 
 
@@ -102,11 +105,16 @@ def _constraint_matrix(g: TaskGraph, include_feedback: bool) -> DenseMatrix:
     return DenseMatrix(rows)
 
 
+def _edges(g: TaskGraph):
+    """Source, target and lag arrays of the non-feedback edges."""
+    edges = [(e.src, e.dst, e.lag) for e in g.edges if not e.feedback]
+    return np.array(edges, dtype=np.int64).reshape(-1, 3).T
+
+
 def _check_acyclic(g: TaskGraph) -> None:
     """Reject a cycle among the non-feedback edges, naming every task on a
     cycle or downstream of one (the tasks no topological order can place)."""
-    pairs = [(e.src, e.dst) for e in g.edges if not e.feedback]
-    src, dst = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    src, dst, _ = _edges(g)
     labels = structure.components(g.n, src, dst)
     cyclic = structure.cyclic(labels, src, dst)
     if cyclic.any():
@@ -125,10 +133,25 @@ def solve(g: TaskGraph, start_time: int = 0) -> ScheduleResult:
     _check_acyclic(g)
     a = _constraint_matrix(g, include_feedback=False)
     s = SemiringId.MAXPLUS
-    ready = np.array([r + start_time for r in g.ready], dtype=np.int64)
-    start, _, iterations = relax(ready, lambda x: dense.vecmat(x, a, s), s, g.n - 1)
+    ready = [r + start_time for r in g.ready]
+    _check_times(g, "start", ready)
+    # a start below 0 is refused below. A ready time below 0 only matters
+    # where no predecessor lifts the start to 0 or more, and there the start
+    # stays below 0 whatever that ready time is: -1 stands for all of them
+    floor = np.array([max(r, -1) for r in ready], dtype=np.int64)
+    start, _, iterations = relax(floor, lambda x: dense.vecmat(x, a, s), s, g.n - 1)
+    low = np.flatnonzero(start < 0)
+    if low.size:
+        raise SaturationError(f"start of task {g.names[low[0]]!r} is below 0")
+    # the product saturates at FINITE_MAX; the unclipped sums over the edges
+    # show whether it did
+    src, dst, lag = _edges(g)
+    reach = start.copy()
+    np.maximum.at(reach, dst, start[src] + lag)
+    _check_times(g, "start", reach.tolist())
     cur = start.tolist()
     completion = [st + d for st, d in zip(cur, g.durations)]
+    _check_times(g, "completion", completion)
     result = ScheduleResult(
         start=cur,
         completion=completion,
@@ -137,6 +160,15 @@ def solve(g: TaskGraph, start_time: int = 0) -> ScheduleResult:
     )
     g._last_result = result
     return result
+
+
+def _check_times(g: TaskGraph, what: str, times: list[int]) -> None:
+    """Refuse the first of the times, each a lower bound, past FINITE_MAX."""
+    for t, value in enumerate(times):
+        if value > FINITE_MAX:
+            raise SaturationError(
+                f"{what} of task {g.names[t]!r} is at least {value}, past {FINITE_MAX}"
+            )
 
 
 def cycle_time(g: TaskGraph) -> CycleMean:

@@ -440,3 +440,32 @@ def test_module_entry_point(fixtures):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "8/3 (2.666667)"
+
+
+def test_schedule_past_the_finite_range_exits_1(tmp_path, capsys):
+    path = tmp_path / "long.sched"
+    path.write_text(
+        "task 0 a 1500000000\ntask 1 b 1500000000\ntask 2 c 1500000000\n"
+        "dep 0 1\ndep 1 2\n"
+    )
+    for mode in ((), ("--json",)):
+        code, out, err = invoke(capsys, "schedule", str(path), *mode)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: SaturationError: start of task 'c' is at least 3000000000")
+
+
+def test_the_bench_harness_is_imported_on_first_use():
+    script = (
+        "import sys, tropical.cli\n"
+        "assert 'tropical.bench' not in sys.modules\n"
+        "import tropical\n"
+        "assert tropical.run_bench is sys.modules['tropical.bench'].run_bench\n"
+        "from tropical import BenchReport\n"
+        "assert BenchReport.__module__ == 'tropical.bench'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    with pytest.raises(AttributeError, match="no attribute 'run_benchmark'"):
+        import tropical
+
+        tropical.run_benchmark

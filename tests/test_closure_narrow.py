@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tropical as tr
-from tropical import DenseMatrix, SemiringId, dense
+from tropical import DenseMatrix, SemiringId, dense, semiring as sr
 from tropical.semiring import FINITE_MAX, FINITE_MIN, NEG_INF, POS_INF
 
 PLUS = (SemiringId.MINPLUS, SemiringId.MAXPLUS)
@@ -154,7 +154,7 @@ def test_negative_weights_without_divergent_cycles(s, data):
 def test_divergent_cycle_through_the_last_vertex(s, data):
     # a non-divergent graph plus a 2-cycle j -> n-1 -> j of weight -+1: no
     # pass before n - 1 diverges, so the narrow sweep runs n - 1 passes,
-    # stops, and the wide sweep starts from the input
+    # stops, and the wide sweep finishes the closure
     n = data.draw(st.integers(2, 10))
     rows = potential_graph(data.draw, n, s)
     sign = 1 if s is SemiringId.MINPLUS else -1
@@ -175,6 +175,88 @@ def test_divergent_cycle_through_the_last_vertex(s, data):
         mp.setitem(dense._SWEEP_OPS, s, (counting_mul, add))
         assert dense._closure_narrow_plus(DenseMatrix(rows)._arr, s) is None
     assert len(passes) == n - 1
+
+
+def first_divergent_pass(rows, s):
+    """The first pass k of the scalar loop that starts with D_kk != one(s),
+    or None."""
+    add, mul = sr.add_fn(s), sr.mul_fn(s)
+    d = [row[:] for row in rows]
+    n = len(d)
+    for i in range(n):
+        d[i][i] = add(d[i][i], 0)
+    for k in range(n):
+        if d[k][k] != 0:
+            return k
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = add(d[i][j], mul(d[i][k], d[k][j]))
+    return None
+
+
+def resumed_at(rows, s):
+    """Check the kernel against the reference (closure_paths) and return
+    the pass at which each wide sweep started."""
+    starts = []
+    plus = dense._closure_plus
+
+    def spy(arr, s, start=0, zero=None):
+        starts.append(start)
+        return plus(arr, s, start, zero)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dense, "_closure_plus", spy)
+        assert closure_paths(rows, s) == ([("int32", False)], 1)
+    return starts
+
+
+@pytest.mark.parametrize("s", PLUS)
+@PROPERTY
+@given(data=st.data())
+def test_the_wide_sweep_resumes_at_the_divergent_pass(s, data):
+    # one to three divergent 2-cycles i -> j -> i anywhere in a graph with
+    # no other divergent cycle: the narrow sweep stops at the first pass
+    # that diverges, and the wide sweep takes over from its state there
+    n = data.draw(st.integers(2, 10))
+    rows = potential_graph(data.draw, n, s)
+    sign = 1 if s is SemiringId.MINPLUS else -1
+    pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    for i, j in data.draw(st.lists(pair, min_size=1, max_size=3)):
+        w = data.draw(st.integers(-40, 40))
+        rows[i][j] = w
+        rows[j][i] = -w - sign * data.draw(st.integers(1, 5))
+    k = first_divergent_pass(rows, s)
+    assert k is not None
+    # the default run and the 2-row-chunk run
+    assert resumed_at(rows, s) == [k, k]
+
+
+@pytest.mark.parametrize("s", PLUS)
+@pytest.mark.parametrize("n", (2, 3, 9))
+def test_a_divergent_2_cycle_through_the_last_vertex_resumes_at_n_minus_1(s, n):
+    # every cycle runs through 0 and n - 1, so none diverges before pass n - 1
+    rows = chain(n, 5, s)
+    sign = 1 if s is SemiringId.MINPLUS else -1
+    rows[0][n - 1] = 7
+    rows[n - 1][0] = -7 - sign
+    assert first_divergent_pass(rows, s) == n - 1
+    assert resumed_at(rows, s) == [n - 1, n - 1]
+
+
+def test_inputs_past_the_bound_sweep_wide_from_pass_0():
+    rows = chain(18, 15_790_321, SemiringId.MINPLUS)
+    rows[17][0] = -(17 * 15_790_321) - 1
+    starts = []
+    plus = dense._closure_plus
+
+    def spy(*args):
+        starts.append(args[2:])
+        return plus(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dense, "_closure_plus", spy)
+        assert closure_paths(rows, SemiringId.MINPLUS) == ([], 1)
+    assert starts == [(), ()]
 
 
 @pytest.mark.parametrize("s", PLUS)

@@ -318,3 +318,54 @@ def test_validation_errors():
         g.add_constraint(a, a, lag=-2)
     with pytest.raises(ValueError):
         tr.critical_path(TaskGraph())
+
+
+# -- starts and completions past the finite range --------------------------------
+
+def chained(durations, ready=0):
+    g = TaskGraph()
+    for t, d in enumerate(durations):
+        g.add_task("abcdefgh"[t], d, ready=ready if t == 0 else 0)
+    for t in range(1, len(durations)):
+        g.add_constraint(t - 1, t)
+    return g
+
+
+def test_chained_starts_past_the_finite_range_raise():
+    # the third start is 3e9: it used to print as 2147483646, with a
+    # makespan of 3647483646 past int32
+    with pytest.raises(tr.SaturationError, match="'c'"):
+        tr.solve(chained([1_500_000_000] * 3))
+
+
+def test_a_completion_past_the_finite_range_raises():
+    with pytest.raises(tr.SaturationError, match="completion of task 'a'"):
+        tr.solve(chained([5], ready=tr.FINITE_MAX - 4))
+    with pytest.raises(tr.SaturationError, match="completion of task 'b'"):
+        tr.solve(chained([tr.FINITE_MAX - 9, 10]))
+
+
+def test_times_at_the_ends_of_the_finite_range_are_kept():
+    r = tr.solve(chained([tr.FINITE_MAX - 7, 7]))
+    assert r.start == [0, tr.FINITE_MAX - 7]
+    assert r.makespan == tr.FINITE_MAX
+    r = tr.solve(chained([0, 0]), start_time=tr.FINITE_MAX)
+    assert r.start == r.completion == [tr.FINITE_MAX] * 2
+
+
+def test_a_ready_time_past_the_finite_range_raises():
+    with pytest.raises(tr.SaturationError, match="start of task 'a'"):
+        tr.solve(chained([0]), start_time=tr.FINITE_MAX + 1)
+    # refused before the relaxation, which takes no value past POS_INF
+    with pytest.raises(tr.SaturationError, match="start of task 'a' is at least 2147483651"):
+        tr.solve(chained([0, 0]), start_time=tr.FINITE_MAX + 5)
+
+
+def test_a_negative_start_raises_unless_a_predecessor_lifts_it():
+    with pytest.raises(tr.SaturationError, match="start of task 'a' is below 0"):
+        tr.solve(chained([4, 1]), start_time=-3)
+    with pytest.raises(tr.SaturationError, match="start of task 'a' is below 0"):
+        tr.solve(chained([4, 1]), start_time=tr.FINITE_MIN - 5)
+    # b's ready time is -3, but a, ready at 5 - 3, lifts b's start to 6
+    r = tr.solve(chained([4, 1], ready=5), start_time=-3)
+    assert r.start == [2, 6]
