@@ -12,11 +12,12 @@ every edge with one add and one max. ``render`` times the --json text of an
 n x n matrix (``io.format_array``), and its MOPS counts the n^2 values
 rendered per microsecond.
 
-The closure and render benchmarks take one of two input kinds: ``uniform``
-(the default) fills every entry uniformly from [-1000, 1000]; ``graph`` draws
-a sparse graph of 16n edges with weights in [1, 1000] (negated for max-plus,
-1 for Boolean), the shape of the CLI's closure inputs. Render renders the
-uniform matrix itself, or the closure of the graph. Each report carries a
+The closure, matmul and render benchmarks take one of two input kinds:
+``uniform`` (the default) fills every entry uniformly from [-1000, 1000];
+``graph`` draws a sparse graph of 16n edges with weights in [1, 1000]
+(negated for max-plus, 1 for Boolean), the shape of the CLI's closure
+inputs. matmul multiplies two such matrices. Render renders the uniform
+matrix itself, or the closure of the graph. Each report carries a
 CRC-32 of the inputs (``checksum``) and one of the last repetition's result
 (``output_checksum``; for render, that of the rendered text).
 """
@@ -96,6 +97,13 @@ def random_graph(
     return sparse.from_triplets(n, n, np.column_stack((u, v, w)), s)
 
 
+def _operand(n: int, s: SemiringId, rng: np.random.Generator, kind: str) -> DenseMatrix:
+    """Dense n x n operand of the given input kind."""
+    if kind == "graph":
+        return sparse.to_dense(random_graph(n, s, rng, CLOSURE_DEGREE))
+    return random_matrix(n, rng)
+
+
 def random_eig_graph(n: int, rng: np.random.Generator) -> DenseMatrix:
     """Dense max-plus graph of GRAPH_DEGREE * n edges with weights in
     [-100, 100], drawn again until it is strongly connected (duplicate edges
@@ -132,8 +140,10 @@ def run_bench(
         raise ValueError(f"unknown benchmark operation {op!r}")
     if kind not in BENCH_INPUTS:
         raise ValueError(f"unknown benchmark input kind {kind!r}")
-    if kind == "graph" and op not in ("closure", "render"):
-        raise ValueError("the graph input kind applies to the closure and render benchmarks only")
+    if kind == "graph" and op not in ("closure", "matmul", "render"):
+        raise ValueError(
+            "the graph input kind applies to the closure, matmul and render benchmarks only"
+        )
     if n < 1:
         raise ValueError("size must be >= 1")
     if reps < 1:
@@ -153,8 +163,8 @@ def run_bench(
         work = lambda: graph.sssp(g, source, s)
         ops = 2 * g.nnz
     elif op == "matmul":
-        a = random_matrix(n, rng)
-        b = random_matrix(n, rng)
+        a = _operand(n, s, rng, kind)
+        b = _operand(n, s, rng, kind)
         checksum = _crc32(a._arr, b._arr)
         work = lambda: dense.matmul(a, b, s)
         ops = 2 * n**3
@@ -165,19 +175,13 @@ def run_bench(
         work = lambda: dense.matvec(a, x, s)
         ops = 2 * n**2
     elif op == "render":
-        if kind == "graph":
-            a = sparse.to_dense(random_graph(n, s, rng, CLOSURE_DEGREE))
-            arr = dense._closure_kernel(a, s)
-        else:
-            arr = random_matrix(n, rng)._arr
+        a = _operand(n, s, rng, kind)
+        arr = dense._closure_kernel(a, s) if kind == "graph" else a._arr
         checksum = _crc32(arr)
         work = lambda: format_array(arr, as_json=True)
         ops = n * n
     else:
-        if kind == "graph":
-            a = sparse.to_dense(random_graph(n, s, rng, CLOSURE_DEGREE))
-        else:
-            a = random_matrix(n, rng)
+        a = _operand(n, s, rng, kind)
         checksum = _crc32(a._arr)
         # raw sweep: the kernel is timed without the negative-cycle diagnosis
         work = lambda: dense._closure_kernel(a, s)

@@ -136,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--seed", type=int, default=0)
     c.add_argument(
         "--input", choices=BENCH_INPUTS, default="uniform",
-        help="closure and render input: uniform entries or a sparse graph of 16n edges",
+        help="closure, matmul and render input: uniform entries or a sparse graph of 16n edges",
     )
     c.add_argument(
         "--closure-guard", type=_non_negative_int, default=DEFAULT_CLOSURE_GUARD,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dense, semiring as sr, sparse
 from .dense import DenseMatrix
-from .errors import NegativeCycleError, PositiveCycleError
+from .errors import NegativeCycleError, PositiveCycleError, SaturationError
 from .semiring import SemiringId
 from .sparse import CsrMatrix
 
@@ -52,6 +52,9 @@ def sssp(
     stable. Under min-plus and max-plus, failure to stabilize means that a
     cycle which improves every path through it is reachable from the source:
     NegativeCycleError (min-plus) or PositiveCycleError (max-plus) is raised.
+    A min-plus or max-plus distance outside [FINITE_MIN, FINITE_MAX], which
+    the saturating (x) would clip to a plausible value, raises
+    SaturationError.
     """
     n = _square_size(a)
     if not 0 <= source < n:
@@ -70,14 +73,52 @@ def sssp(
     d[source] = sr.one(s)
     d, frontier, _ = relax(d, product, s, n - 1, early_exit)
     # after n-1 rounds, d is a fixed point iff one more round changes nothing
-    if s in _DIVERGENCE and (frontier != z).any():
-        if not np.array_equal(dense.ADD_UFUNC[s](d, product(frontier)), d):
+    if s in _DIVERGENCE:
+        if (frontier != z).any() and not np.array_equal(
+            dense.ADD_UFUNC[s](d, product(frontier)), d
+        ):
             error, sign = _DIVERGENCE[s]
             raise error(
                 "single-source paths did not stabilize within n-1 rounds "
                 f"({sign} cycle reachable from the source)"
             )
+        _check_saturation(a, d, s)
     return d.tolist()
+
+
+def _check_saturation(a: Matrix, d: np.ndarray, s: SemiringId) -> None:
+    """Refuse a min-plus or max-plus distance that came out clipped.
+
+    d is a fixed point, so each distance is the clip of its best in-edge
+    sum, or the source's one(s). Only a distance at a limit of the finite
+    range can have been clipped: for those, the best in-edge sum is
+    recomputed unclipped in int64, and a sum beyond the limit raises
+    SaturationError naming the first such vertex. An edge weight equal to
+    the other sentinel (POS_INF under max-plus, NEG_INF under min-plus) is
+    unbounded, and the saturating (x) defines its sums as clipped, so those
+    edges are left out.
+    """
+    at_limit = (d == sr.FINITE_MIN) | (d == sr.FINITE_MAX)
+    if not at_limit.any():
+        return
+    z = sr.zero(s)
+    if isinstance(a, CsrMatrix):
+        src, dst, w = sparse._coo_rows(a), a.col_idx.astype(np.int64), a.values
+    else:
+        src, dst = np.nonzero(a._arr != z)
+        w = a._arr[src, dst]
+    other = sr.POS_INF if s is SemiringId.MAXPLUS else sr.NEG_INF
+    keep = at_limit[dst] & (d[src] != z) & (w != other)
+    dst, sums = dst[keep], d[src[keep]] + w[keep]
+    # each vertex starts from one of its own sums; one without any stays 0
+    best = np.zeros(d.size, dtype=np.int64)
+    best[dst] = sums
+    dense.ADD_UFUNC[s].at(best, dst, sums)
+    past = np.flatnonzero((best < sr.FINITE_MIN) | (best > sr.FINITE_MAX))
+    if past.size:
+        v = past[0]
+        limit = sr.FINITE_MAX if best[v] > sr.FINITE_MAX else sr.FINITE_MIN
+        raise SaturationError(f"distance to vertex {v} sums to {best[v]}, past {limit}")
 
 
 def relax(d: np.ndarray, product, s: SemiringId, rounds: int, early_exit: bool = True):

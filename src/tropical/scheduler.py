@@ -95,26 +95,24 @@ class TaskGraph:
         self.cyclic = True
 
 
-def _constraint_matrix(g: TaskGraph, include_feedback: bool) -> DenseMatrix:
-    n = g.n
-    rows = [[NEG_INF] * n for _ in range(n)]
-    for e in g.edges:
-        if e.feedback and not include_feedback:
-            continue
-        rows[e.src][e.dst] = max(rows[e.src][e.dst], e.lag)
-    return DenseMatrix(rows)
-
-
-def _edges(g: TaskGraph):
-    """Source, target and lag arrays of the non-feedback edges."""
-    edges = [(e.src, e.dst, e.lag) for e in g.edges if not e.feedback]
+def _edges(g: TaskGraph, include_feedback: bool = False):
+    """Source, target and lag arrays of the edges; feedback edges only when
+    asked for."""
+    edges = [(e.src, e.dst, e.lag) for e in g.edges if include_feedback or not e.feedback]
     return np.array(edges, dtype=np.int64).reshape(-1, 3).T
 
 
-def _check_acyclic(g: TaskGraph) -> None:
+def _constraint_matrix(n: int, src, dst, lag) -> DenseMatrix:
+    """Max-plus matrix of the edges: the largest lag from u to v, NEG_INF
+    where there is none. DenseMatrix refuses a lag outside the 32-bit range."""
+    grid = np.full((n, n), NEG_INF, dtype=np.int64)
+    np.maximum.at(grid, (src, dst), lag)
+    return DenseMatrix(grid)
+
+
+def _check_acyclic(g: TaskGraph, src, dst) -> None:
     """Reject a cycle among the non-feedback edges, naming every task on a
     cycle or downstream of one (the tasks no topological order can place)."""
-    src, dst, _ = _edges(g)
     labels = structure.components(g.n, src, dst)
     cyclic = structure.cyclic(labels, src, dst)
     if cyclic.any():
@@ -130,8 +128,9 @@ def solve(g: TaskGraph, start_time: int = 0) -> ScheduleResult:
     """Earliest start/completion times; start_time offsets every ready time."""
     if g.n == 0:
         raise ValueError("task graph has no tasks")
-    _check_acyclic(g)
-    a = _constraint_matrix(g, include_feedback=False)
+    src, dst, lag = _edges(g)
+    _check_acyclic(g, src, dst)
+    a = _constraint_matrix(g.n, src, dst, lag)
     s = SemiringId.MAXPLUS
     ready = [r + start_time for r in g.ready]
     _check_times(g, "start", ready)
@@ -145,7 +144,6 @@ def solve(g: TaskGraph, start_time: int = 0) -> ScheduleResult:
         raise SaturationError(f"start of task {g.names[low[0]]!r} is below 0")
     # the product saturates at FINITE_MAX; the unclipped sums over the edges
     # show whether it did
-    src, dst, lag = _edges(g)
     reach = start.copy()
     np.maximum.at(reach, dst, start[src] + lag)
     _check_times(g, "start", reach.tolist())
@@ -176,7 +174,7 @@ def cycle_time(g: TaskGraph) -> CycleMean:
     the full constraint matrix, feedback edges included)."""
     if g.n == 0:
         raise ValueError("task graph has no tasks")
-    lam = max_cycle_mean(_constraint_matrix(g, include_feedback=True))
+    lam = max_cycle_mean(_constraint_matrix(g.n, *_edges(g, include_feedback=True)))
     if lam is None:
         raise NoCycleError("constraint graph has no cycle")
     return lam

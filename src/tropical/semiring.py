@@ -10,6 +10,7 @@ operations on finite operands can ever produce a sentinel by accident.
 from __future__ import annotations
 
 import enum
+import operator
 from typing import Callable
 
 NEG_INF = -(2**31)
@@ -71,32 +72,50 @@ def one(s: SemiringId) -> int:
     return _ONE[s]
 
 
+def _max(a, b):
+    return a if a > b else b
+
+
+def _min(a, b):
+    return a if a < b else b
+
+
+def _saturating_plus(zero: int):
+    """Plus-semiring (x) with annihilator ``zero``, clipped to the finite range."""
+    def mul(a, b, _zero=zero, _lo=FINITE_MIN, _hi=FINITE_MAX):
+        if a == _zero or b == _zero:
+            return _zero
+        v = a + b
+        return _hi if v > _hi else (_lo if v < _lo else v)
+    return mul
+
+
+# scalar (+) and (x) of each semiring
+_ADD = {
+    SemiringId.MAXPLUS: _max,
+    SemiringId.MINPLUS: _min,
+    SemiringId.MAXMIN: _max,
+    SemiringId.MINMAX: _min,
+    SemiringId.BOOLEAN: operator.or_,
+}
+
+_MUL = {
+    SemiringId.MAXPLUS: _saturating_plus(NEG_INF),
+    SemiringId.MINPLUS: _saturating_plus(POS_INF),
+    SemiringId.MAXMIN: _min,
+    SemiringId.MINMAX: _max,
+    SemiringId.BOOLEAN: operator.and_,
+}
+
+
 def add(a: int, b: int, s: SemiringId) -> int:
     """Semiring addition a (+) b."""
-    if s is SemiringId.MAXPLUS or s is SemiringId.MAXMIN:
-        return a if a > b else b
-    if s is SemiringId.MINPLUS or s is SemiringId.MINMAX:
-        return a if a < b else b
-    return a | b
+    return _ADD[s](a, b)
 
 
 def mul(a: int, b: int, s: SemiringId) -> int:
     """Semiring multiplication a (x) b with sentinel-safe saturation."""
-    if s is SemiringId.MAXPLUS:
-        if a == NEG_INF or b == NEG_INF:
-            return NEG_INF
-        v = a + b
-        return FINITE_MAX if v > FINITE_MAX else (FINITE_MIN if v < FINITE_MIN else v)
-    if s is SemiringId.MINPLUS:
-        if a == POS_INF or b == POS_INF:
-            return POS_INF
-        v = a + b
-        return FINITE_MAX if v > FINITE_MAX else (FINITE_MIN if v < FINITE_MIN else v)
-    if s is SemiringId.MAXMIN:
-        return a if a < b else b
-    if s is SemiringId.MINMAX:
-        return a if a > b else b
-    return a & b
+    return _MUL[s](a, b)
 
 
 def natural_leq(a: int, b: int, s: SemiringId) -> bool:
@@ -105,32 +124,10 @@ def natural_leq(a: int, b: int, s: SemiringId) -> bool:
 
 
 def add_fn(s: SemiringId) -> Callable[[int, int], int]:
-    """Specialized scalar (+) for tight loops (identical semantics to add)."""
-    if s is SemiringId.MAXPLUS or s is SemiringId.MAXMIN:
-        return lambda a, b: a if a > b else b
-    if s is SemiringId.MINPLUS or s is SemiringId.MINMAX:
-        return lambda a, b: a if a < b else b
-    return lambda a, b: a | b
+    """Scalar (+) of s as a function of two values, for tight loops."""
+    return _ADD[s]
 
 
 def mul_fn(s: SemiringId) -> Callable[[int, int], int]:
-    """Specialized scalar (x) for tight loops (identical semantics to mul)."""
-    if s is SemiringId.MAXPLUS:
-        def f(a, b, _neg=NEG_INF, _lo=FINITE_MIN, _hi=FINITE_MAX):
-            if a == _neg or b == _neg:
-                return _neg
-            v = a + b
-            return _hi if v > _hi else (_lo if v < _lo else v)
-        return f
-    if s is SemiringId.MINPLUS:
-        def f(a, b, _pos=POS_INF, _lo=FINITE_MIN, _hi=FINITE_MAX):
-            if a == _pos or b == _pos:
-                return _pos
-            v = a + b
-            return _hi if v > _hi else (_lo if v < _lo else v)
-        return f
-    if s is SemiringId.MAXMIN:
-        return lambda a, b: a if a < b else b
-    if s is SemiringId.MINMAX:
-        return lambda a, b: a if a > b else b
-    return lambda a, b: a & b
+    """Scalar (x) of s as a function of two values, for tight loops."""
+    return _MUL[s]

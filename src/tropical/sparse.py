@@ -21,7 +21,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import semiring as sr
-from .dense import ADD_UFUNC, DenseMatrix, _check_vector, _ew_mul
+from .dense import (
+    _SWEEP_OPS, _WIDE_ZERO, ADD_UFUNC, DenseMatrix, _check_vector, _decode, _encode
+)
 from .semiring import SemiringId
 
 _I32 = np.int32
@@ -176,19 +178,25 @@ def spmv(a: CsrMatrix, x: Sequence[int]) -> list[int]:
 def spmv_instrumented(a: CsrMatrix, x: Sequence[int]) -> tuple[list[int], int]:
     """spmv plus the exact count of semiring multiplications performed.
 
-    A gather of x, the saturating (x), and a segment reduction over the
-    non-empty rows; empty rows stay zero(s).
+    A gather of x, the (x), and a segment reduction over the non-empty rows;
+    empty rows stay zero(s). Min-plus and max-plus run on the wide encoding
+    (see ``dense._WIDE``); no stored value is zero(s), so only x is encoded.
     """
     if len(x) != a.cols:
         raise ValueError(f"matrix has {a.cols} columns but vector has {len(x)}")
-    xv = _check_vector(x).astype(_I64)
+    xv = _check_vector(x)
     s = a.semiring
+    mul, add = _SWEEP_OPS[s]
+    wide = s in _WIDE_ZERO
+    if wide:
+        xv = _encode(xv, s)
     y = np.full(a.rows, sr.zero(s), dtype=_I32)
     if a.nnz:
-        prod = _ew_mul(a.values.astype(_I64), xv[a.col_idx], s)
+        prod = mul(a.values, xv[a.col_idx])
         ptr = a.row_ptr.astype(_I64)
         nonempty = np.flatnonzero(ptr[1:] != ptr[:-1])
-        y[nonempty] = ADD_UFUNC[s].reduceat(prod, ptr[nonempty])
+        fold = add.reduceat(prod, ptr[nonempty])
+        y[nonempty] = _decode(fold, s) if wide else fold
     return y.tolist(), a.nnz
 
 

@@ -1,4 +1,4 @@
-"""The closure benchmark's input kinds and the output digest of every report."""
+"""The benchmarks' input kinds and the output digest of every report."""
 
 import zlib
 
@@ -65,8 +65,19 @@ def test_uniform_checksums_are_unchanged():
     assert run_bench("closure", 12, SemiringId.MINPLUS, 1, 3, "graph").checksum != 562963077
 
 
-def test_graph_kind_is_for_the_closure_only():
-    for op in ("matmul", "matvec", "sssp"):
+@pytest.mark.parametrize("s", ALL)
+def test_matmul_graph_kind_multiplies_two_graphs(s):
+    rng = np.random.default_rng(5)
+    a = sparse.to_dense(random_graph(20, s, rng, CLOSURE_DEGREE))
+    b = sparse.to_dense(random_graph(20, s, rng, CLOSURE_DEGREE))
+    r = run_bench("matmul", 20, s, reps=1, seed=5, kind="graph")
+    assert r.kind == "graph"
+    assert r.checksum == zlib.crc32(b._arr.tobytes(), zlib.crc32(a._arr.tobytes()))
+    assert r.output_checksum == crc(tr.matmul_reference(a, b, s).to_rows())
+
+
+def test_graph_kind_is_for_closure_matmul_and_render_only():
+    for op in ("matvec", "sssp"):
         with pytest.raises(ValueError, match="closure"):
             run_bench(op, 8, SemiringId.MINPLUS, reps=1, kind="graph")
     with pytest.raises(ValueError):

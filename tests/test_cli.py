@@ -469,3 +469,20 @@ def test_the_bench_harness_is_imported_on_first_use():
         import tropical
 
         tropical.run_benchmark
+
+
+@pytest.mark.parametrize("extra", [(), ("--sparse",)])
+@pytest.mark.parametrize("semiring", ["minplus", "maxplus"])
+def test_sssp_saturated_distance_exits_1(tmp_path, capsys, semiring, extra):
+    path = tmp_path / "g.graph"
+    path.write_text(f"3 2 {semiring}\n0 1 2000000000\n1 2 2000000000\n")
+    code, out, err = invoke(capsys, "sssp", str(path), "--source", "0", *extra)
+    assert code == 1 and out == ""
+    assert err == (
+        "error: SaturationError: distance to vertex 2 sums to 4000000000, "
+        "past 2147483646\n"
+    )
+    # a path that sums to exactly FINITE_MAX still prints
+    path.write_text(f"3 2 {semiring}\n0 1 2000000000\n1 2 147483646\n")
+    code, out, _ = invoke(capsys, "sssp", str(path), "--source", "0", *extra)
+    assert code == 0 and out == "0 2000000000 2147483646\n"

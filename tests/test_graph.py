@@ -240,3 +240,75 @@ def test_bottleneck_matches_enumeration():
                 if i == j:
                     continue
                 assert b.get(i, j) == simple_path_bottlenecks(rows, i, j)
+
+
+# -- saturated distances ---------------------------------------------------------
+
+FMAX, FMIN = tr.FINITE_MAX, tr.FINITE_MIN
+
+
+def chain_graph(weights, s, sparse):
+    """Path 0 -> 1 -> ... with the given edge weights, dense or CSR."""
+    n = len(weights) + 1
+    edges = [(i, i + 1, w) for i, w in enumerate(weights)]
+    a = tr.from_triplets(n, n, edges, s)
+    return a if sparse else tr.to_dense(a)
+
+
+PLUS = [SemiringId.MINPLUS, SemiringId.MAXPLUS]
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("s", PLUS)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_sssp_distance_past_the_finite_range_raises(s, sparse, sign):
+    # vertex 2 lies at +-4e9: it used to print as FINITE_MAX or FINITE_MIN
+    a = chain_graph([sign * 2_000_000_000] * 3, s, sparse)
+    limit = FMAX if sign > 0 else FMIN
+    with pytest.raises(
+        tr.SaturationError, match=f"distance to vertex 2 sums to {sign * 4_000_000_000}, past {limit}"
+    ):
+        tr.sssp(a, 0, s)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("s", PLUS)
+def test_sssp_saturation_is_found_where_later_edges_pull_back_into_range(s, sparse):
+    # vertex 3's value, FINITE_MAX - 1e9, looks plausible; vertex 2 is the one
+    # whose best in-edge sum passes the limit
+    a = chain_graph([2_000_000_000, 2_000_000_000, -1_000_000_000], s, sparse)
+    with pytest.raises(tr.SaturationError, match="vertex 2 "):
+        tr.sssp(a, 0, s)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("s", PLUS)
+def test_sssp_distances_at_the_ends_of_the_finite_range_are_kept(s, sparse):
+    a = chain_graph([2_000_000_000, FMAX - 2_000_000_000], s, sparse)
+    assert tr.sssp(a, 0, s) == [0, 2_000_000_000, FMAX]
+    a = chain_graph([-2_000_000_000, FMIN + 2_000_000_000], s, sparse)
+    assert tr.sssp(a, 0, s) == [0, -2_000_000_000, FMIN]
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_sssp_saturation_takes_the_best_in_edge(sparse):
+    # vertex 3 has two in-edges: one summing to exactly FINITE_MAX, one past it
+    edges = [(0, 1, 2_000_000_000), (1, 3, FMAX - 2_000_000_000),
+             (0, 2, 2_000_000_000), (2, 3, 2_000_000_000)]
+    for s, ok in ((SemiringId.MINPLUS, True), (SemiringId.MAXPLUS, False)):
+        a = tr.from_triplets(4, 4, edges, s)
+        a = a if sparse else tr.to_dense(a)
+        if ok:
+            assert tr.sssp(a, 0, s)[3] == FMAX
+        else:
+            with pytest.raises(tr.SaturationError, match="vertex 3 sums to 4000000000"):
+                tr.sssp(a, 0, s)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_sssp_sums_through_an_infinite_weight_keep_their_clip(sparse):
+    # POS_INF under max-plus and NEG_INF under min-plus are edge weights, not
+    # the zero; the saturating (x) defines their sums as clipped
+    for s, w, limit in ((SemiringId.MAXPLUS, P, FMAX), (SemiringId.MINPLUS, N, FMIN)):
+        a = chain_graph([w], s, sparse)
+        assert tr.sssp(a, 0, s) == [0, limit]

@@ -369,3 +369,26 @@ def test_a_negative_start_raises_unless_a_predecessor_lifts_it():
     # b's ready time is -3, but a, ready at 5 - 3, lifts b's start to 6
     r = tr.solve(chained([4, 1], ready=5), start_time=-3)
     assert r.start == [2, 6]
+
+
+def test_a_lag_outside_the_32_bit_range_is_refused():
+    # the constraint matrix is an int32 DenseMatrix, which checks its values
+    g = chained([1, 1])
+    g.add_constraint(0, 1, 2**31)
+    with pytest.raises(ValueError, match="value 2147483648 outside the 32-bit tropical range"):
+        tr.solve(g)
+    g = chained([1, 1])
+    g.add_feedback(1, 0, 2**31)
+    with pytest.raises(ValueError, match="value 2147483648 outside the 32-bit tropical range"):
+        tr.cycle_time(g)
+
+
+def test_a_lag_outside_the_32_bit_range_exits_1(tmp_path, capsys):
+    from tropical.cli import run
+
+    path = tmp_path / "big.sched"
+    path.write_text("task 0 a 1\ntask 1 b 1\ndep 0 1 2147483648\n")
+    assert run(["schedule", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: value 2147483648 outside the 32-bit tropical range\n"
+    )
