@@ -82,11 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_graph_cmd(name, help_text, sparse_flag=True, guard=False):
+    def add_graph_cmd(name, help_text, guard=False):
         c = sub.add_parser(name, help=help_text)
         c.add_argument("file", help="graph file")
-        if sparse_flag:
-            c.add_argument("--sparse", action="store_true", help="parse into CSR form")
+        c.add_argument("--sparse", action="store_true", help="parse into CSR form")
         if guard:
             c.add_argument(
                 "--closure-guard",
@@ -164,30 +163,15 @@ def _array_result(args, payload: dict, key: str, arr):
 
 def _cmd_closure(args):
     m, s = _load_graph(args.file, args.sparse, args.closure_guard)
-    result = graph.all_pairs_paths(m, s)
-    payload = {"command": "closure", "semiring": sr.TOKEN_OF[s], "n": result.rows}
-    return _array_result(args, payload, "matrix", result._arr)
-
-
-def _cmd_apsp(args):
-    payload, lines = _cmd_closure(args)
-    payload["command"] = "apsp"
-    return payload, lines
-
-
-def _cmd_reach(args):
-    m, s = _load_graph(args.file, args.sparse, args.closure_guard)
-    result = graph.reachability(m, s)
-    payload = {"command": "reach", "semiring": "boolean", "n": result.rows}
-    return _array_result(args, payload, "matrix", result._arr)
-
-
-def _cmd_bottleneck(args):
-    m, s = _load_graph(args.file, args.sparse, args.closure_guard)
-    if s is not SemiringId.MAXMIN:
-        raise ValueError("bottleneck requires a maxmin graph file")
-    result = graph.bottleneck_paths(m)
-    payload = {"command": "bottleneck", "semiring": "maxmin", "n": result.rows}
+    if args.command == "reach":
+        result, token = graph.reachability(m, s), "boolean"
+    elif args.command == "bottleneck":
+        if s is not SemiringId.MAXMIN:
+            raise ValueError("bottleneck requires a maxmin graph file")
+        result, token = graph.bottleneck_paths(m), "maxmin"
+    else:
+        result, token = graph.all_pairs_paths(m, s), sr.TOKEN_OF[s]
+    payload = {"command": args.command, "semiring": token, "n": result.rows}
     return _array_result(args, payload, "matrix", result._arr)
 
 
@@ -212,15 +196,16 @@ def _cmd_matmul(args):
     return _array_result(args, payload, "matrix", c._arr)
 
 
-def _require_maxplus(s: SemiringId, what: str) -> None:
+def _maxplus_cycle_mean(args):
+    """The max-plus graph of args.file and its maximum cycle mean."""
+    m, s = _load_graph(args.file, False)
     if s is not SemiringId.MAXPLUS:
-        raise ValueError(f"{what} requires a maxplus graph file")
+        raise ValueError(f"{args.command} requires a maxplus graph file")
+    return m, spectral.max_cycle_mean(m)
 
 
 def _cmd_eig(args):
-    m, s = _load_graph(args.file, False)
-    _require_maxplus(s, "eig")
-    lam = spectral.max_cycle_mean(m)
+    m, lam = _maxplus_cycle_mean(args)
     if lam is None:
         payload = {"command": "eig", "eigenvalue": None}
         return payload, ["no cycle"]
@@ -242,9 +227,7 @@ def _cmd_eig(args):
 
 
 def _cmd_eigvec(args):
-    m, s = _load_graph(args.file, False)
-    _require_maxplus(s, "eigvec")
-    lam = spectral.max_cycle_mean(m)
+    m, lam = _maxplus_cycle_mean(args)
     if lam is None:
         raise TropicalError("NoCycle: graph has no cycle, eigenvector undefined")
     res = spectral.eigenvector(m, lam, epsilon=args.eps, max_iter=args.max_iter)
@@ -301,9 +284,9 @@ def _cmd_schedule(args):
     lines.append("critical_path " + " ".join(payload["critical_path"]))
     if g.cyclic:
         lam = scheduler.cycle_time(g)
-        thr = round(scheduler.throughput(g), 4)
+        thr = round(scheduler._rate(lam), 4)
         payload["cycle_time"] = str(lam)
-        payload["throughput"] = thr
+        payload["throughput"] = _fmt_float(thr)
         lines.append(f"cycle_time {lam}")
         lines.append(f"throughput {thr:.4f}")
     return payload, lines
@@ -330,27 +313,20 @@ def _cmd_bench(args):
         "input": report.kind,
         "output_checksum": report.output_checksum,
     }
+    # one "key value" line per field, a list as its space-separated items
     lines = [
-        f"op {payload['op']}",
-        f"n {payload['n']}",
-        f"semiring {payload['semiring']}",
-        f"reps {payload['reps']}",
-        f"seed {payload['seed']}",
-        "elapsed_us " + " ".join(str(e) for e in payload["elapsed_us"]),
-        f"mean_us {payload['mean_us']}",
-        f"mops {payload['mops']}",
-        f"checksum {payload['checksum']}",
-        f"input {payload['input']}",
-        f"output_checksum {payload['output_checksum']}",
+        f"{k} {' '.join(map(str, v)) if isinstance(v, list) else v}"
+        for k, v in payload.items()
+        if k != "command"
     ]
     return payload, lines
 
 
 _HANDLERS = {
     "closure": _cmd_closure,
-    "apsp": _cmd_apsp,
-    "reach": _cmd_reach,
-    "bottleneck": _cmd_bottleneck,
+    "apsp": _cmd_closure,
+    "reach": _cmd_closure,
+    "bottleneck": _cmd_closure,
     "sssp": _cmd_sssp,
     "matmul": _cmd_matmul,
     "eig": _cmd_eig,
@@ -375,10 +351,7 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         payload, lines = _HANDLERS[args.command](args)
-    except GraphParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _GuardRefusal as exc:
+    except (GraphParseError, _GuardRefusal) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (TropicalError, MemoryError, OverflowError) as exc:

@@ -168,7 +168,7 @@ def reachability(a: Matrix, s: SemiringId = SemiringId.BOOLEAN) -> DenseMatrix:
     n = _square_size(a)
     if isinstance(a, CsrMatrix):
         arr = np.zeros((n, n), dtype=np.int32)
-        arr[np.repeat(np.arange(n), np.diff(a.row_ptr)), a.col_idx] = 1
+        arr[sparse._coo_rows(a), a.col_idx] = 1
     else:
         arr = (a._arr != sr.zero(s)).astype(np.int32)
     return dense.closure(DenseMatrix._wrap(arr), SemiringId.BOOLEAN)

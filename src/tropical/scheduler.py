@@ -10,7 +10,7 @@ over max-plus, reached in at most n-1 rounds of ``graph.relax`` on an
 acyclic edge set. Feedback edges (declared for cyclic, repeating systems)
 are excluded from the fixed-point solve; they only enter the cycle-time /
 throughput analysis, where the minimum achievable period is the maximum
-cycle mean of the full constraint matrix.
+cycle mean of all the edges, feedback included, computed on the edge list.
 
 Every start and completion must lie in [0, FINITE_MAX]; ``solve`` raises
 SaturationError for a time outside it rather than return a saturated one.
@@ -18,6 +18,7 @@ SaturationError for a time outside it rather than return a saturated one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,8 @@ from . import dense, structure
 from .dense import DenseMatrix
 from .errors import CycleInAcyclicGraphError, NoCycleError, SaturationError
 from .graph import relax
-from .semiring import FINITE_MAX, NEG_INF, SemiringId
-from .spectral import CycleMean, max_cycle_mean
+from .semiring import FINITE_MAX, NEG_INF, POS_INF, SemiringId
+from .spectral import CycleMean, _max_cycle_mean_edges
 
 
 @dataclass
@@ -171,19 +172,29 @@ def _check_times(g: TaskGraph, what: str, times: list[int]) -> None:
 
 def cycle_time(g: TaskGraph) -> CycleMean:
     """Minimum achievable period of the repeating system (max cycle mean of
-    the full constraint matrix, feedback edges included)."""
+    all the edges, feedback edges included)."""
     if g.n == 0:
         raise ValueError("task graph has no tasks")
-    lam = max_cycle_mean(_constraint_matrix(g.n, *_edges(g, include_feedback=True)))
+    src, dst, lag = _edges(g, include_feedback=True)
+    bad = lag > POS_INF
+    if bad.any():
+        # as the constraint matrix: the largest lag of the first bad pair
+        key = src * g.n + dst
+        first = key == key[bad].min()
+        raise ValueError(f"value {lag[first].max()} outside the 32-bit tropical range")
+    lam = _max_cycle_mean_edges(g.n, src, dst, lag)
     if lam is None:
         raise NoCycleError("constraint graph has no cycle")
     return lam
 
 
 def throughput(g: TaskGraph) -> float:
-    """Completions per time unit: 1 / cycle_time."""
-    lam = cycle_time(g)
-    return lam.denominator / lam.numerator
+    """Completions per time unit: 1 / cycle_time, inf for a zero cycle time."""
+    return _rate(cycle_time(g))
+
+
+def _rate(lam: CycleMean) -> float:
+    return math.inf if lam.numerator == 0 else lam.denominator / lam.numerator
 
 
 def critical_path(g: TaskGraph, result: ScheduleResult | None = None) -> list[int]:

@@ -1,11 +1,12 @@
-"""Spectral analysis of max-plus matrices.
+"""Spectral analysis of max-plus matrices, on edge lists.
 
 The unique eigenvalue of an irreducible max-plus matrix is its maximum cycle
-mean, an exact rational. ``max_cycle_mean`` splits the graph into strongly
-connected components with ``structure.components`` (Tarjan) and runs the
-source-based Karp recurrence on the edge list of every component that holds a
-cycle: D[k][v] is the heaviest k-edge walk from a fixed source, one gather,
-add and segment max per k into an int64 table, and the component's value is
+mean, an exact rational. The edge-list core behind ``max_cycle_mean`` (and
+the scheduler's cycle time) splits the graph into strongly connected
+components with ``structure.components`` (Tarjan) and runs the source-based
+Karp recurrence on the edges of every component that holds a cycle: D[k][v]
+is the heaviest k-edge walk from a fixed source, one gather, add and segment
+max per k into an int64 table, and the component's value is
 max_v min_k (D[m][v] - D[k][v]) / (m - k). Exactness: every walk weight
 fits in int64 (|D| <= m * 2**31), each ratio is held as an integer part and
 a remainder over its denominator, so ratios compare with an integer compare
@@ -22,14 +23,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import structure
-from .dense import DenseMatrix
+from .dense import _WIDE, _WIDE_CUT, DenseMatrix
 from .errors import NoCycleError
-from .semiring import NEG_INF
-
-# int64 bottom for "no walk" in the Karp table and the critical-graph sweep;
-# real walk weights stay far above the detection threshold
-_BOT = -(2**62)
-_BOT_CUT = -(2**61)
+from .graph import relax
+from .semiring import NEG_INF, SemiringId
 
 
 class CycleMean:
@@ -103,11 +100,21 @@ def max_cycle_mean(a: DenseMatrix) -> CycleMean | None:
     value is still the exact maximum over all cycles, but it is not the
     unique eigenvalue of the whole matrix.
     """
+    return _max_cycle_mean_edges(a.rows, *_edge_list(a))
+
+
+def _edge_list(a: DenseMatrix):
+    """Source, target and int64 weight arrays of the entries above NEG_INF."""
     if a.rows != a.cols:
         raise ValueError("cycle mean requires a square matrix")
-    arr = a._arr
-    src, dst = np.nonzero(arr != NEG_INF)
-    labels = structure.components(a.rows, src, dst)
+    src, dst = np.nonzero(a._arr != NEG_INF)
+    return src, dst, a._arr[src, dst].astype(np.int64)
+
+
+def _max_cycle_mean_edges(n: int, src, dst, w) -> CycleMean | None:
+    """``max_cycle_mean`` of the graph on n vertices with edges
+    (src[i], dst[i]) weighing w[i] (int64 arrays, duplicates allowed)."""
+    labels = structure.components(n, src, dst)
     cyclic = structure.cyclic(labels, src, dst)
     if not cyclic.any():
         return None
@@ -116,12 +123,11 @@ def max_cycle_mean(a: DenseMatrix) -> CycleMean | None:
     sizes = np.bincount(labels)
     order = np.argsort(labels, kind="stable")
     local = np.empty_like(labels)
-    local[order] = np.arange(a.rows) - (np.cumsum(sizes) - sizes)[labels[order]]
+    local[order] = np.arange(n) - (np.cumsum(sizes) - sizes)[labels[order]]
     comp = labels[src]
     keep = (comp == labels[dst]) & cyclic[comp]
-    comp, src, dst = comp[keep], src[keep], dst[keep]
-    w = arr[src, dst].astype(np.int64)
-    src, dst = local[src], local[dst]
+    comp, w = comp[keep], w[keep]
+    src, dst = local[src[keep]], local[dst[keep]]
     edges = np.lexsort((dst, comp))
     comp, src, dst, w = comp[edges], src[edges], dst[edges], w[edges]
     bounds = np.searchsorted(comp, np.arange(len(sizes) + 1))
@@ -141,11 +147,12 @@ def _karp(m: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> Fraction:
     are sorted by destination; every vertex has an in-edge. Row k of the
     table is the heaviest k-edge walk from vertex 0 to each vertex: one
     gather, one add and one segment max per row. A missing walk starts at
-    _BOT and drifts by at most m * 2**31 < 2**61, so it stays below
-    _BOT_CUT while every real walk, |weight| <= m * 2**31, stays above it.
+    the wide bottom -_WIDE = -2**61 and drifts by at most m * 2**31, so for
+    m < 2**29 it stays below -_WIDE_CUT = -2**60 while every real walk,
+    |weight| <= m * 2**31, stays above it.
     """
     starts = np.flatnonzero(np.r_[True, dst[1:] != dst[:-1]])
-    d = np.full((m + 1, m), _BOT, dtype=np.int64)
+    d = np.full((m + 1, m), -_WIDE, dtype=np.int64)
     d[0, 0] = 0
     for k in range(1, m + 1):
         np.maximum.reduceat(d[k - 1][src] + w, starts, out=d[k])
@@ -158,14 +165,14 @@ def _karp(m: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> Fraction:
     den = np.ones(m, dtype=np.int64)
     for k in range(m):
         qk, rk = np.divmod(last - d[k], m - k)
-        better = (d[k] > _BOT_CUT) & ((qk < q) | ((qk == q) & (rk * den < r * (m - k))))
+        better = (d[k] > -_WIDE_CUT) & ((qk < q) | ((qk == q) & (rk * den < r * (m - k))))
         q[better] = qk[better]
         r[better] = rk[better]
         den[better] = m - k
     # every vertex with an m-edge walk has a shorter one (drop a cycle), so
     # its minimum is set; the maximum over those vertices is settled with
     # Fraction among the vertices that share the largest integer part
-    reached = last > _BOT_CUT
+    reached = last > -_WIDE_CUT
     top = q[reached].max()
     tie = reached & (q == top)
     return int(top) + max(map(Fraction, r[tie].tolist(), den[tie].tolist()))
@@ -174,23 +181,31 @@ def _karp(m: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> Fraction:
 def critical_vertices(a: DenseMatrix) -> frozenset[int]:
     """Vertices lying on a cycle whose mean equals the maximum cycle mean.
 
-    Works on the integer matrix q*A - p (lambda = p/q): all its cycles have
-    weight <= 0 and the critical ones weight exactly 0, so a vertex is
-    critical iff the best closed walk through it weighs 0.
+    With lambda = p/q, no cycle of the weights w' = q*w - p is positive and
+    the critical ones weigh 0. Potentials pi, the heaviest walks from an
+    all-zero start, lie in [0, n*q*2**32], so relax's NEG_INF marker stays
+    free. A cycle is critical iff all of its edges are tight (pi_u + w' ==
+    pi_v; Baccelli, Cohen, Olsder & Quadrat 1992): the critical vertices
+    are those in the cyclic components of the tight subgraph.
     """
-    lam = max_cycle_mean(a)
+    n = a.rows
+    src, dst, w = _edge_list(a)
+    lam = _max_cycle_mean_edges(n, src, dst, w)
     if lam is None:
         raise NoCycleError("graph has no cycle")
-    p, q = lam.numerator, lam.denominator
-    arr = a._arr.astype(np.int64)
-    scaled = np.where(arr == NEG_INF, _BOT, q * arr - p)
-    n = a.rows
-    for k in range(n):
-        cand = scaled[:, k, None] + scaled[None, k, :]
-        cand[cand < _BOT_CUT] = _BOT
-        np.maximum(scaled, cand, out=scaled)
-    diag = np.diagonal(scaled)
-    return frozenset(int(i) for i in np.nonzero(diag == 0)[0])
+    w = lam.denominator * w - lam.numerator
+
+    def product(x):
+        live = x[src] != NEG_INF
+        out = np.full(n, NEG_INF, dtype=np.int64)
+        np.maximum.at(out, dst[live], x[src[live]] + w[live])
+        return out
+
+    pi, _, _ = relax(np.zeros(n, dtype=np.int64), product, SemiringId.MAXPLUS, n)
+    tight = pi[src] + w == pi[dst]
+    src, dst = src[tight], dst[tight]
+    labels = structure.components(n, src, dst)
+    return frozenset(np.flatnonzero(structure.cyclic(labels, src, dst)[labels]).tolist())
 
 
 def eigenvector(

@@ -2,9 +2,10 @@
 
 These are the original scalar versions: strongly connected components from
 the Boolean reachability closure, Karp's recurrence over exact Python
-integers on an adjacency grid, and the power iteration that compares each
-iterate with every earlier one through ``linf``. They are slow by design and
-define the results the array versions in ``tropical.spectral`` and
+integers on an adjacency grid, the critical vertices from an n^3 Floyd sweep
+over the scaled matrix, and the power iteration that compares each iterate
+with every earlier one through ``linf``. They are slow by design and define
+the results the array versions in ``tropical.spectral`` and
 ``tropical.structure`` must reproduce.
 """
 
@@ -97,6 +98,27 @@ def max_cycle_mean(a: DenseMatrix) -> tuple[Fraction, bool] | None:
     if best is None:
         return None
     return best, len(comps) == 1
+
+
+def critical_vertices(a: DenseMatrix) -> frozenset[int] | None:
+    """Vertices on a cycle whose mean is the maximum, or None if acyclic.
+
+    On the integer matrix q*A - p (lambda = p/q from the scalar Karp) every
+    cycle weighs <= 0 and the critical ones exactly 0, so after a Floyd
+    sweep a vertex is critical iff its best closed walk weighs 0. "No walk"
+    is an int64 bottom far below every real walk weight."""
+    found = max_cycle_mean(a)
+    if found is None:
+        return None
+    p, q = found[0].numerator, found[0].denominator
+    bot, bot_cut = -(2**62), -(2**61)
+    arr = a._arr.astype(np.int64)
+    scaled = np.where(arr == NEG_INF, bot, q * arr - p)
+    for k in range(a.rows):
+        cand = scaled[:, k, None] + scaled[None, k, :]
+        cand[cand < bot_cut] = bot
+        np.maximum(scaled, cand, out=scaled)
+    return frozenset(np.flatnonzero(np.diagonal(scaled) == 0).tolist())
 
 
 def linf(u: np.ndarray, v: np.ndarray) -> float:

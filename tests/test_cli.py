@@ -169,6 +169,30 @@ def test_schedule_what_if(fixtures, capsys):
     assert payload["cycle_time"] == "49/5"
 
 
+def test_schedule_zero_cycle_time_prints_infinite_throughput(tmp_path, capsys):
+    path = tmp_path / "zero.sched"
+    path.write_text("task 0 a 3\nfeedback 0 0 0\n")
+    code, out, err = invoke(capsys, "schedule", str(path))
+    assert code == 0, err
+    assert out.splitlines()[-2:] == ["cycle_time 0/1", "throughput inf"]
+    code, payload, err = invoke_json(capsys, "schedule", str(path))
+    assert code == 0, err
+    assert payload["cycle_time"] == "0/1"
+    assert payload["throughput"] == "inf"
+
+
+def test_cyclic_schedule_runs_karp_once(fixtures, capsys, monkeypatch):
+    from tropical import spectral
+
+    calls = []
+    karp = spectral._karp
+    monkeypatch.setattr(spectral, "_karp", lambda *a: calls.append(1) or karp(*a))
+    code, out, _ = invoke(capsys, "schedule", str(fixtures / "production.sched"))
+    assert code == 0
+    assert "throughput 0.0926" in out.splitlines()
+    assert len(calls) == 1
+
+
 def test_negative_cycle_exit_code(fixtures, capsys):
     code, _, err = invoke(capsys, "closure", str(fixtures / "negative_cycle.graph"))
     assert code == 1

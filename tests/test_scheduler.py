@@ -1,9 +1,11 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tropical as tr
-from tropical import CycleMean, TaskGraph
+from tropical import CycleMean, TaskGraph, scheduler
 
 
 def drone_graph():
@@ -392,3 +394,59 @@ def test_a_lag_outside_the_32_bit_range_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: value 2147483648 outside the 32-bit tropical range\n"
     )
+
+
+def test_a_zero_cycle_time_has_infinite_throughput():
+    g = TaskGraph()
+    a = g.add_task("a", 3)
+    g.add_feedback(a, a, 0)
+    assert tr.cycle_time(g) == CycleMean(0, 1)
+    assert tr.throughput(g) == math.inf
+
+
+@st.composite
+def cyclic_task_graphs(draw, max_n=10):
+    """Task graphs with forward constraints, some repeated with another lag,
+    and feedback edges, self-loops included; lags up to POS_INF."""
+    n = draw(st.integers(1, max_n))
+    g = TaskGraph()
+    for t in range(n):
+        g.add_task(f"t{t}", draw(st.integers(0, 20)))
+    lags = st.one_of(st.integers(0, 30), st.sampled_from([tr.FINITE_MAX, tr.POS_INF]))
+    vertex = st.integers(0, n - 1)
+    for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n)):
+        if u < v:
+            g.add_constraint(u, v, draw(st.none() | lags))
+            if draw(st.booleans()):
+                g.add_constraint(u, v, draw(lags))
+    for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=4)):
+        g.add_feedback(u, v, draw(lags))
+    return g
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(cyclic_task_graphs())
+def test_cycle_time_is_the_cycle_mean_of_the_constraint_matrix(g):
+    grid = scheduler._constraint_matrix(g.n, *scheduler._edges(g, include_feedback=True))
+    expected = tr.max_cycle_mean(grid)
+    if expected is None:
+        with pytest.raises(tr.NoCycleError):
+            tr.cycle_time(g)
+        return
+    lam = tr.cycle_time(g)
+    assert (lam.numerator, lam.denominator, lam.strongly_connected) == (
+        expected.numerator, expected.denominator, expected.strongly_connected
+    )
+
+
+def test_the_first_lag_outside_the_range_is_named_as_the_matrix_names_it():
+    # row-major first task pair, and within it the largest lag
+    g = chained([1, 1, 1])
+    g.add_feedback(2, 0, 2**31 + 5)
+    g.add_feedback(1, 0, 2**31 + 1)
+    g.add_feedback(1, 0, 2**31 + 3)
+    with pytest.raises(ValueError, match="value 2147483651 outside"):
+        tr.cycle_time(g)
+    src, dst, lag = scheduler._edges(g, include_feedback=True)
+    with pytest.raises(ValueError, match="value 2147483651 outside"):
+        scheduler._constraint_matrix(g.n, src, dst, lag)

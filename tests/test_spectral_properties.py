@@ -4,9 +4,10 @@
 mutual reachability classes of the Boolean closure; ``max_cycle_mean`` (Karp
 per component on edge arrays) must equal the Python-integer Karp on closure
 components and, on small graphs, the best mean among all elementary cycles;
-``eigenvector`` (one array comparison per iteration against the iterate
-history) must reproduce the loop that calls ``linf`` once per earlier iterate,
-bit for bit. The oracles live in ``spectral_oracle``.
+``critical_vertices`` (potentials and the tight subgraph) must give the set
+of the Floyd sweep; ``eigenvector`` (one array comparison per iteration
+against the iterate history) must reproduce the loop that calls ``linf`` once
+per earlier iterate, bit for bit. The oracles live in ``spectral_oracle``.
 """
 
 from fractions import Fraction
@@ -113,6 +114,53 @@ def test_max_cycle_mean_is_the_best_elementary_cycle(graph):
     means = [mean for _, mean, _ in enumerate_cycles_with_vertices(a.to_rows())]
     got = check_cycle_mean(a)
     assert (got is None and not means) or got[0] == max(means)
+
+
+@st.composite
+def ringed_edge_lists(draw, max_n=16, weights=WEIGHTS):
+    """edge_lists, half of them with one more cycle through distinct vertices
+    (a self-loop when it has one vertex), so fewer graphs are acyclic."""
+    n, edges = draw(edge_lists(max_n, weights))
+    if draw(st.booleans()):
+        ring = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        ring_w = draw(st.lists(weights, min_size=len(ring), max_size=len(ring)))
+        edges += zip(ring, ring[1:] + ring[:1], ring_w)
+    return n, edges
+
+
+def check_critical_vertices(a: DenseMatrix):
+    expected = oracle.critical_vertices(a)
+    if expected is None:
+        with pytest.raises(tr.NoCycleError):
+            tr.critical_vertices(a)
+    else:
+        assert tr.critical_vertices(a) == expected
+
+
+@settings(PROPERTY, max_examples=200)
+@given(ringed_edge_lists(weights=st.integers(-3, 3)))
+def test_critical_vertices_match_the_floyd_sweep_on_tied_means(graph):
+    # small weights: many cycles share the maximum mean, in one component
+    # or in several, and self-loops compete with longer cycles
+    check_critical_vertices(maxplus_matrix(*graph))
+
+
+@PROPERTY
+@given(ringed_edge_lists())
+def test_critical_vertices_match_the_floyd_sweep(graph):
+    # weights at and near FINITE_MIN, FINITE_MAX and POS_INF
+    check_critical_vertices(maxplus_matrix(*graph))
+
+
+def test_critical_vertices_of_tied_components_and_self_loops():
+    # two 2-cycles of mean 1 in separate components, a mean-1 self-loop, a
+    # mean-0 self-loop and a 3-cycle of mean 1 with a lighter chord
+    edges = [(0, 1, 1), (1, 0, 1), (1, 2, 5), (2, 3, 2), (3, 2, 0),
+             (4, 4, 1), (5, 5, 0), (4, 5, 9), (6, 7, 1), (7, 8, 1), (8, 6, 1), (6, 8, -4)]
+    a = maxplus_matrix(9, edges)
+    assert tr.critical_vertices(a) == oracle.critical_vertices(a) == frozenset(
+        {0, 1, 2, 3, 4, 6, 7, 8}
+    )
 
 
 def chord_cycles(length, x, y, base):
