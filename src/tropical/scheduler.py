@@ -48,7 +48,8 @@ class ScheduleResult:
 
 
 class TaskGraph:
-    """Mutable task-graph builder; solve() snapshots are immutable."""
+    """Mutable task-graph builder; solve() snapshots are immutable, and any
+    change drops the one that critical_path(g) reads."""
 
     def __init__(self, cyclic: bool = False):
         self.cyclic = cyclic
@@ -70,6 +71,7 @@ class TaskGraph:
         self.names.append(name)
         self.durations.append(int(duration))
         self.ready.append(int(ready))
+        self._last_result = None
         return self.n - 1
 
     def _check_id(self, t: int) -> None:
@@ -85,6 +87,7 @@ class TaskGraph:
         if lag < 0:
             raise ValueError("lag must be non-negative")
         self.edges.append(_Edge(src, dst, int(lag)))
+        self._last_result = None
 
     def add_feedback(self, src: int, dst: int, lag: int) -> None:
         """Declare a feedback edge for a repeating system; implies cyclic."""
@@ -94,6 +97,7 @@ class TaskGraph:
             raise ValueError("lag must be non-negative")
         self.edges.append(_Edge(src, dst, int(lag), feedback=True))
         self.cyclic = True
+        self._last_result = None
 
 
 def _edges(g: TaskGraph, include_feedback: bool = False):

@@ -29,57 +29,47 @@ from .graph import relax
 from .semiring import NEG_INF, SemiringId
 
 
-class CycleMean:
-    """Exact rational cycle mean, reduced, with an advisory connectivity flag.
+class CycleMean(Fraction):
+    """Exact rational cycle mean, a ``Fraction`` with an advisory connectivity
+    flag.
 
-    Equality and ordering compare the rational value only; the flag records
-    whether the source graph was strongly connected (when it is not, the
-    eigenvalue-uniqueness guarantee does not apply).
+    Equality, hashing and ordering are Fraction's and compare the value only;
+    the flag records whether the source graph was strongly connected (when it
+    is not, the eigenvalue-uniqueness guarantee does not apply). The text is
+    always ``p/q``, also for a whole mean; arithmetic gives plain Fractions.
     """
 
-    __slots__ = ("numerator", "denominator", "strongly_connected")
+    __slots__ = ("strongly_connected",)
 
-    def __init__(self, numerator: int, denominator: int, strongly_connected: bool = True):
+    def __new__(cls, numerator: int, denominator: int, strongly_connected: bool = True):
         if denominator == 0:
             raise ValueError("cycle length must be positive")
-        if denominator < 0:
-            numerator, denominator = -numerator, -denominator
-        g = math.gcd(numerator, denominator)
-        if g > 1:
-            numerator //= g
-            denominator //= g
-        self.numerator = numerator
-        self.denominator = denominator
+        self = super().__new__(cls, numerator, denominator)
         self.strongly_connected = strongly_connected
+        return self
 
     @property
     def as_float(self) -> float:
-        return self.numerator / self.denominator
+        return float(self)
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, CycleMean):
-            return self.numerator * other.denominator == other.numerator * self.denominator
-        if isinstance(other, (int, Fraction)):
-            return self.as_fraction() == other
-        return NotImplemented
-
-    def __lt__(self, other: "CycleMean") -> bool:
-        return self.numerator * other.denominator < other.numerator * self.denominator
-
-    def __le__(self, other: "CycleMean") -> bool:
-        return self.numerator * other.denominator <= other.numerator * self.denominator
-
-    def __hash__(self):
-        return hash((self.numerator, self.denominator))
-
     def __str__(self) -> str:
         return f"{self.numerator}/{self.denominator}"
 
-    def __repr__(self) -> str:
-        return f"CycleMean({self.numerator}, {self.denominator})"
+    def __format__(self, spec: str) -> str:
+        return format(str(self), spec)
+
+    # Fraction's copy and pickle rebuild from the value alone and drop the flag
+    def __reduce__(self):
+        return (type(self), (self.numerator, self.denominator, self.strongly_connected))
+
+    def __copy__(self):
+        return type(self)(self.numerator, self.denominator, self.strongly_connected)
+
+    def __deepcopy__(self, memo):
+        return self.__copy__()
 
 
 @dataclass
@@ -225,8 +215,8 @@ def eigenvector(
         raise ValueError("eigenvector requires a square matrix")
     if lam is None:
         raise NoCycleError("no eigenvalue: graph has no cycle")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError("epsilon must be positive and finite")
     n = a.rows
     if max_iter is None:
         max_iter = 10 * n

@@ -129,6 +129,15 @@ def test_eigvec(fixtures, capsys):
     assert len(payload["vector"]) == 4
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf", "0"])
+def test_eigvec_refuses_an_eps_that_is_not_finite_and_positive(tmp_path, capsys, eps):
+    path = tmp_path / "two_cycle.graph"
+    path.write_text("2 2 maxplus\n0 1 5\n1 0 3\n")
+    code, out, err = invoke(capsys, "eigvec", str(path), "--eps", eps)
+    assert code == 1 and out == ""
+    assert "epsilon must be positive" in err
+
+
 def test_schedule_production(fixtures, capsys):
     code, out, _ = invoke(capsys, "schedule", str(fixtures / "production.sched"))
     assert code == 0

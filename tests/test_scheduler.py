@@ -49,10 +49,10 @@ def rand_dag_graph(rng, n):
     return g
 
 
-def longest_path_starts(g, start_time=0):
-    """Topological-order earliest-start oracle."""
+def topological_order(g):
+    """Kahn order of the tasks over the non-feedback edges, and the
+    non-feedback in-edges of each task."""
     n = g.n
-    starts = [r + start_time for r in g.ready]
     incoming = [[] for _ in range(n)]
     indeg = [0] * n
     out = [[] for _ in range(n)]
@@ -71,10 +71,37 @@ def longest_path_starts(g, start_time=0):
             indeg[v] -= 1
             if indeg[v] == 0:
                 order.append(v)
+    return order, incoming
+
+
+def longest_path_starts(g, start_time=0):
+    """Topological-order earliest-start oracle."""
+    starts = [r + start_time for r in g.ready]
+    order, incoming = topological_order(g)
     for v in order:
         for e in incoming[v]:
             starts[v] = max(starts[v], starts[e.src] + e.lag)
     return starts
+
+
+def critical_path_method(g, start_time=0):
+    """Starts and relaxation rounds of ``solve`` from one topological pass.
+
+    Each task carries (value, hops): its best start and the fewest edges
+    among the paths that reach it, the 0-edge path holding solve's floor
+    max(ready + start_time, -1). A task's start last changes in round hops
+    of the relaxation, and the first round that changes nothing ends it, so
+    solve runs min(max hops + 1, n - 1) rounds.
+    """
+    value = [max(r + start_time, -1) for r in g.ready]
+    hops = [0] * g.n
+    order, incoming = topological_order(g)
+    for v in order:
+        for e in incoming[v]:
+            val, h = value[e.src] + e.lag, hops[e.src] + 1
+            if val > value[v] or (val == value[v] and h < hops[v]):
+                value[v], hops[v] = val, h
+    return value, min(max(hops) + 1, g.n - 1)
 
 
 def test_drone_case_study():
@@ -309,6 +336,38 @@ def test_critical_path_tie_break():
     assert tr.critical_path(g, r) == [0, 2, 3]
 
 
+def test_a_changed_graph_drops_its_solve():
+    g = TaskGraph()
+    a, b, c = g.add_task("a", 5), g.add_task("b", 1), g.add_task("c", 2)
+    g.add_constraint(a, c)
+    r = tr.solve(g)
+    assert tr.critical_path(g) == [0, 2]
+    g.add_constraint(b, c, 10)
+    with pytest.raises(ValueError, match="requires a completed solve"):
+        tr.critical_path(g)
+    assert tr.critical_path(g, r) == [0, 2]
+    tr.solve(g)
+    assert tr.critical_path(g) == [1, 2]
+    g.add_task("d", 1)
+    with pytest.raises(ValueError, match="requires a completed solve"):
+        tr.critical_path(g)
+    tr.solve(g)
+    g.add_feedback(c, a, 0)
+    with pytest.raises(ValueError, match="requires a completed solve"):
+        tr.critical_path(g)
+
+
+def test_a_refused_change_keeps_the_solve():
+    g = TaskGraph()
+    a = g.add_task("a", 5)
+    tr.solve(g)
+    with pytest.raises(ValueError):
+        g.add_constraint(a, 3)
+    with pytest.raises(ValueError):
+        g.add_task("bad", -1)
+    assert tr.critical_path(g) == [0]
+
+
 def test_validation_errors():
     g = TaskGraph()
     with pytest.raises(ValueError):
@@ -450,3 +509,45 @@ def test_the_first_lag_outside_the_range_is_named_as_the_matrix_names_it():
     src, dst, lag = scheduler._edges(g, include_feedback=True)
     with pytest.raises(ValueError, match="value 2147483651 outside"):
         scheduler._constraint_matrix(g.n, src, dst, lag)
+
+
+@st.composite
+def task_dags(draw, max_n=9):
+    """Acyclic task graphs over a shuffled task order, with small durations
+    and lags so that paths of different lengths tie, default and zero lags,
+    repeated constraints, ready times and a start time."""
+    n = draw(st.integers(1, max_n))
+    g = TaskGraph()
+    for t in range(n):
+        g.add_task(f"t{t}", draw(st.integers(0, 3)), ready=draw(st.integers(0, 6)))
+    rank = draw(st.permutations(range(n)))
+    vertex = st.integers(0, n - 1)
+    for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n)):
+        if rank[u] < rank[v]:
+            for _ in range(draw(st.integers(1, 2))):
+                g.add_constraint(u, v, draw(st.none() | st.integers(0, 4)))
+    return g, draw(st.integers(0, 3))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(task_dags())
+def test_solve_runs_the_rounds_of_the_critical_path_method(case):
+    g, start_time = case
+    r = tr.solve(g, start_time)
+    assert (r.start, r.iterations) == critical_path_method(g, start_time)
+
+
+def test_critical_path_method_counts_the_fewest_hops_of_a_tie():
+    # 0 -> 1 -> 2 reaches start 4 in two hops; the direct 0 -> 2 at lag 4
+    # ties it in one, so round 2 is the first that changes nothing, below
+    # the n - 1 = 3 cap
+    g = TaskGraph()
+    for k in range(4):
+        g.add_task(f"t{k}", 2)
+    g.add_constraint(0, 1)
+    g.add_constraint(1, 2)
+    assert critical_path_method(g) == ([0, 2, 4, 0], 3)
+    g.add_constraint(0, 2, 4)
+    assert critical_path_method(g) == ([0, 2, 4, 0], 2)
+    r = tr.solve(g)
+    assert (r.start, r.iterations) == ([0, 2, 4, 0], 2)

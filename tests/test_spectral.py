@@ -1,3 +1,6 @@
+import copy
+import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -59,6 +62,39 @@ def test_cycle_mean_value_type():
     assert CycleMean(-3, 2).numerator == -3
     with pytest.raises(ValueError):
         CycleMean(1, 0)
+
+
+def test_cycle_mean_hashes_and_orders_as_the_number_it_equals():
+    assert hash(CycleMean(2, 1)) == hash(2)
+    assert hash(CycleMean(1, 2)) == hash(Fraction(1, 2)) == hash(0.5)
+    assert len({CycleMean(1, 2), Fraction(1, 2)}) == 1
+    assert CycleMean(1, 2) > 0
+    assert CycleMean(1, 2) < 0.75
+    assert CycleMean(1, 2) == 0.5
+    assert max(CycleMean(1, 2), 1, Fraction(1, 3)) == 1
+    assert isinstance(CycleMean(1, 2), Fraction)
+
+
+def test_cycle_mean_copies_and_pickles_keep_the_flag():
+    lam = CycleMean(3, 2, strongly_connected=False)
+    for twin in (copy.copy(lam), copy.deepcopy(lam), pickle.loads(pickle.dumps(lam))):
+        assert type(twin) is CycleMean
+        assert twin == lam and (twin.numerator, twin.denominator) == (3, 2)
+        assert twin.strongly_connected is False
+
+
+def test_cycle_mean_text_is_p_over_q_also_for_whole_means():
+    lam = CycleMean(4, 1)
+    assert str(lam) == "4/1"
+    assert f"{lam}" == "4/1"
+    assert repr(lam) == "CycleMean(4, 1)"
+    assert str(CycleMean(6, -4)) == "-3/2"
+
+
+def test_cycle_mean_formats_and_computes_as_a_fraction():
+    assert f"{CycleMean(4, 1):>5}" == "  4/1"
+    total = CycleMean(1, 2) + 1
+    assert total == Fraction(3, 2) and type(total) is Fraction
 
 
 def test_nested_cycles_eigenvalue():
@@ -281,3 +317,9 @@ def test_eigenvector_errors():
         tr.eigenvector(DenseMatrix([[1, 2]]), CycleMean(1, 1))
     with pytest.raises(ValueError):
         tr.eigenvector(CYCLES4, CycleMean(8, 3), epsilon=0.0)
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf, -1e-9])
+def test_eigenvector_refuses_an_epsilon_that_is_not_finite_and_positive(epsilon):
+    with pytest.raises(ValueError, match="epsilon"):
+        tr.eigenvector(CYCLES4, CycleMean(8, 3), epsilon=epsilon)
