@@ -85,7 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_graph_cmd(name, help_text, guard=False):
         c = sub.add_parser(name, help=help_text)
         c.add_argument("file", help="graph file")
-        c.add_argument("--sparse", action="store_true", help="parse into CSR form")
+        c.add_argument(
+            "--sparse", action="store_true", help="parse into CSR form (sssp always does)"
+        )
         if guard:
             c.add_argument(
                 "--closure-guard",
@@ -176,7 +178,7 @@ def _cmd_closure(args):
 
 
 def _cmd_sssp(args):
-    m, s = _load_graph(args.file, args.sparse)
+    m, s = _load_graph(args.file, want_sparse=True)
     d = graph.sssp(m, args.source, s)
     payload = {"command": "sssp", "semiring": sr.TOKEN_OF[s], "source": args.source}
     return _array_result(args, payload, "distances", d)
@@ -198,7 +200,7 @@ def _cmd_matmul(args):
 
 def _maxplus_cycle_mean(args):
     """The max-plus graph of args.file and its maximum cycle mean."""
-    m, s = _load_graph(args.file, False)
+    m, s = _load_graph(args.file, want_sparse=True)
     if s is not SemiringId.MAXPLUS:
         raise ValueError(f"{args.command} requires a maxplus graph file")
     return m, spectral.max_cycle_mean(m)

@@ -7,7 +7,9 @@ x vecmat A, so the result reads "best path value from the source to i".
 
 Dense and CSR ``sssp`` and the scheduler share one relaxation loop over
 arrays, ``relax``; only the per-round product differs: ``dense.vecmat`` with
-A, or ``sparse.spmv`` with A^T, which is built once per call.
+A, or ``sparse.spmv`` with A^T, which is built once per call. The input type
+selects the product: the CLI parses sssp input into CSR, so its memory is
+O(n + m), and the dense branch serves a caller that already holds the grid.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ def _check_saturation(a: Matrix, d: np.ndarray, s: SemiringId) -> None:
     SaturationError naming the first such vertex. An edge weight equal to
     the other sentinel (POS_INF under max-plus, NEG_INF under min-plus) is
     unbounded, and the saturating (x) defines its sums as clipped, so those
-    edges are left out.
+    sums enter clipped.
     """
     at_limit = (d == sr.FINITE_MIN) | (d == sr.FINITE_MAX)
     if not at_limit.any():
@@ -107,9 +109,11 @@ def _check_saturation(a: Matrix, d: np.ndarray, s: SemiringId) -> None:
     else:
         src, dst = np.nonzero(a._arr != z)
         w = a._arr[src, dst]
-    other = sr.POS_INF if s is SemiringId.MAXPLUS else sr.NEG_INF
-    keep = at_limit[dst] & (d[src] != z) & (w != other)
-    dst, sums = dst[keep], d[src[keep]] + w[keep]
+    keep = at_limit[dst] & (d[src] != z)
+    dst, w = dst[keep], w[keep]
+    sums = d[src[keep]] + w
+    other = w == (sr.POS_INF if s is SemiringId.MAXPLUS else sr.NEG_INF)
+    sums[other] = np.clip(sums[other], sr.FINITE_MIN, sr.FINITE_MAX)
     # each vertex starts from one of its own sums; one without any stays 0
     best = np.zeros(d.size, dtype=np.int64)
     best[dst] = sums

@@ -206,11 +206,16 @@ def critical_path(g: TaskGraph, result: ScheduleResult | None = None) -> list[in
 
     Every hop is tight (start_dst == start_src + lag) and the final task
     completes at the makespan; ties are broken toward the lowest task id.
+    A result whose task count differs from g.n is refused.
     """
     if result is None:
         result = g._last_result
     if result is None:
         raise ValueError("critical_path requires a completed solve")
+    if len(result.start) != g.n:
+        raise ValueError(
+            f"critical_path: result has {len(result.start)} tasks but the graph has {g.n}"
+        )
     incoming: list[list[_Edge]] = [[] for _ in range(g.n)]
     for e in g.edges:
         if not e.feedback:

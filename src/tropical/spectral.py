@@ -12,6 +12,10 @@ fits in int64 (|D| <= m * 2**31), each ratio is held as an integer part and
 a remainder over its denominator, so ratios compare with an integer compare
 and a cross product below m**2, and the last maximum and the comparison of
 components use Fraction. Floats never decide a maximum.
+
+Each function takes a ``DenseMatrix`` or a max-plus ``CsrMatrix`` and reads
+it as one edge list, the entries above NEG_INF; ``eigenvector`` multiplies on
+it too, so a CSR input is never expanded to an n x n grid.
 """
 
 from __future__ import annotations
@@ -22,11 +26,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import structure
-from .dense import _WIDE, _WIDE_CUT, DenseMatrix
+from . import sparse, structure
+from .dense import _WIDE, _WIDE_CUT
 from .errors import NoCycleError
-from .graph import relax
+from .graph import Matrix, relax
 from .semiring import NEG_INF, SemiringId
+from .sparse import CsrMatrix
 
 
 class CycleMean(Fraction):
@@ -83,7 +88,7 @@ class EigenvectorResult:
     residual: float
 
 
-def max_cycle_mean(a: DenseMatrix) -> CycleMean | None:
+def max_cycle_mean(a: Matrix) -> CycleMean | None:
     """Maximum cycle mean of a max-plus adjacency matrix, or None if acyclic.
 
     The strongly_connected flag on the result is advisory: when False, the
@@ -93,10 +98,15 @@ def max_cycle_mean(a: DenseMatrix) -> CycleMean | None:
     return _max_cycle_mean_edges(a.rows, *_edge_list(a))
 
 
-def _edge_list(a: DenseMatrix):
-    """Source, target and int64 weight arrays of the entries above NEG_INF."""
+def _edge_list(a: Matrix):
+    """Source, target and int64 weight arrays of the entries above NEG_INF,
+    sorted by source."""
     if a.rows != a.cols:
         raise ValueError("cycle mean requires a square matrix")
+    if isinstance(a, CsrMatrix):
+        if a.semiring is not SemiringId.MAXPLUS:
+            raise ValueError(f"matrix is bound to {a.semiring.name.lower()} but maxplus requested")
+        return sparse._coo_rows(a), a.col_idx.astype(np.int64), a.values.astype(np.int64)
     src, dst = np.nonzero(a._arr != NEG_INF)
     return src, dst, a._arr[src, dst].astype(np.int64)
 
@@ -168,7 +178,7 @@ def _karp(m: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> Fraction:
     return int(top) + max(map(Fraction, r[tie].tolist(), den[tie].tolist()))
 
 
-def critical_vertices(a: DenseMatrix) -> frozenset[int]:
+def critical_vertices(a: Matrix) -> frozenset[int]:
     """Vertices lying on a cycle whose mean equals the maximum cycle mean.
 
     With lambda = p/q, no cycle of the weights w' = q*w - p is positive and
@@ -199,12 +209,17 @@ def critical_vertices(a: DenseMatrix) -> frozenset[int]:
 
 
 def eigenvector(
-    a: DenseMatrix,
+    a: Matrix,
     lam: CycleMean,
     epsilon: float = 1e-9,
     max_iter: int | None = None,
 ) -> EigenvectorResult:
     """Power iteration v <- (A (x) v) - lambda with L-infinity convergence.
+
+    A (x) v runs on the edge list in float64: entry i is the max of w + v[j]
+    over the out-edges (i, j, w), -inf without one. A max of the same sums is
+    exact in any order, so these are the floats of the row max over a dense
+    grid, at O(n + m) memory.
 
     A critical graph of cyclicity c makes the raw iteration orbit with period
     c instead of settling; when a repeat of an earlier iterate is detected,
@@ -220,8 +235,7 @@ def eigenvector(
     n = a.rows
     if max_iter is None:
         max_iter = 10 * n
-    f = a._arr.astype(np.float64)
-    f[a._arr == NEG_INF] = -np.inf
+    product = _edge_product(n, *_edge_list(a))
     lam_f = lam.as_float
     v = np.zeros(n, dtype=np.float64)
     # every iterate so far, one per row; the buffer doubles when full
@@ -231,25 +245,39 @@ def eigenvector(
     iterations = 0
     for it in range(1, max_iter + 1):
         iterations = it
-        u = (f + v[None, :]).max(axis=1)
-        v_new = u - lam_f
+        v_new = product(v) - lam_f
         if _linf(v_new, v) <= epsilon:
             return EigenvectorResult(
-                v_new.tolist(), True, it, _residual(f, v_new, lam_f)
+                v_new.tolist(), True, it, _residual(product, v_new, lam_f)
             )
         # a repeat of an iterate before v closes a period; the latest one wins
         hits = np.flatnonzero(_distances(history[: count - 1], v_new) <= epsilon)
         if hits.size:
             merged = np.maximum(history[hits[-1] + 1 : count].max(axis=0), v_new)
             return EigenvectorResult(
-                merged.tolist(), True, it, _residual(f, merged, lam_f)
+                merged.tolist(), True, it, _residual(product, merged, lam_f)
             )
         if count == len(history):
             history = np.concatenate((history, np.empty_like(history)))
         history[count] = v_new
         count += 1
         v = v_new
-    return EigenvectorResult(v.tolist(), False, iterations, _residual(f, v, lam_f))
+    return EigenvectorResult(v.tolist(), False, iterations, _residual(product, v, lam_f))
+
+
+def _edge_product(n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray):
+    """x -> A (x) x in float64 for the edges (src[i], dst[i], w[i]), sorted
+    by source: a gather, an add and one segment max per source."""
+    w = w.astype(np.float64)
+    starts = np.flatnonzero(np.diff(src, prepend=-1))
+    rows = src[starts]
+
+    def product(x: np.ndarray) -> np.ndarray:
+        out = np.full(n, -np.inf)
+        out[rows] = np.maximum.reduceat(w + x[dst], starts)
+        return out
+
+    return product
 
 
 def _distances(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -267,7 +295,5 @@ def _linf(u: np.ndarray, v: np.ndarray) -> float:
     return math.inf if math.isnan(dist) else dist
 
 
-def _residual(f: np.ndarray, v: np.ndarray, lam_f: float) -> float:
-    lhs = (f + v[None, :]).max(axis=1)
-    rhs = lam_f + v
-    return _linf(lhs, rhs)
+def _residual(product, v: np.ndarray, lam_f: float) -> float:
+    return _linf(product(v), lam_f + v)

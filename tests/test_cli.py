@@ -354,6 +354,21 @@ def test_closure_guard_checks_both_dimensions(tmp_path, capsys):
     assert "guard" in err
 
 
+def test_path_and_spectral_commands_never_build_the_grid(tmp_path, capsys):
+    # 3 edges on 4000 vertices: an n x n grid alone would take 64 MB or more
+    path = tmp_path / "wide.graph"
+    path.write_text("4000 3 maxplus\n0 1 2\n1 0 4\n3999 0 -7\n")
+    for argv in (["eig"], ["eigvec"], ["sssp", "--source", "2"]):
+        tracemalloc.start()
+        try:
+            code, _, _ = invoke(capsys, argv[0], str(path), *argv[1:])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 8_000_000, argv
+
+
 def test_negative_closure_guard_is_a_usage_error(fixtures, capsys):
     graph = str(fixtures / "chain3_minplus.graph")
     assert invoke(capsys, "closure", graph, "--closure-guard", "-1")[0] == 2

@@ -357,6 +357,16 @@ def test_a_changed_graph_drops_its_solve():
         tr.critical_path(g)
 
 
+def test_critical_path_refuses_a_result_of_fewer_tasks():
+    g = TaskGraph()
+    a, b, c = g.add_task("a", 5), g.add_task("b", 1), g.add_task("c", 2)
+    g.add_constraint(a, c)
+    r = tr.solve(g)
+    g.add_task("d", 1)
+    with pytest.raises(ValueError, match="result has 3 tasks but the graph has 4"):
+        tr.critical_path(g, r)
+
+
 def test_a_refused_change_keeps_the_solve():
     g = TaskGraph()
     a = g.add_task("a", 5)

@@ -75,7 +75,10 @@ def test_spmv_matches_the_reference_and_counts_nnz(s, data):
 def relax_oracle(rows, source, s):
     """Bellman-Ford in the semiring: n-1 rounds of d <- d (+) (d vecmat A),
     each computed from the previous d, then one more round to test
-    stability. Returns the distances, or the error type expected."""
+    stability. Under min-plus and max-plus, the unclipped sums into a stable
+    d then tell whether the saturating (x) clipped a distance: a best sum
+    past [FINITE_MIN, FINITE_MAX] is one. Returns the distances, or the
+    error type expected."""
     n = len(rows)
     d = [tr.zero(s)] * n
     d[source] = tr.one(s)
@@ -94,13 +97,27 @@ def relax_oracle(rows, source, s):
             return tr.NegativeCycleError
         if s is SemiringId.MAXPLUS:
             return tr.PositiveCycleError
+    if s in (SemiringId.MINPLUS, SemiringId.MAXPLUS):
+        # the terms of each distance: one(s) at the source and d[i] + w over
+        # its in-edges; a sum through an edge weighing the other sentinel
+        # (-inf under min-plus, inf under max-plus) is clipped by definition
+        z, other = tr.zero(s), (N if s is SemiringId.MINPLUS else P)
+        best = min if s is SemiringId.MINPLUS else max
+        for j in range(n):
+            terms = [tr.one(s)] if j == source else []
+            for i in range(n):
+                w = rows[i][j]
+                if d[i] != z and w != z:
+                    terms.append(tr.mul(d[i], w, s) if w == other else d[i] + w)
+            if terms and not FINITE_MIN <= best(terms) <= FINITE_MAX:
+                return tr.SaturationError
     return d
 
 
 def sssp_outcome(a, source, s, **kw):
     try:
         return tr.sssp(a, source, s, **kw)
-    except (tr.NegativeCycleError, tr.PositiveCycleError) as exc:
+    except (tr.NegativeCycleError, tr.PositiveCycleError, tr.SaturationError) as exc:
         return type(exc)
 
 
@@ -120,6 +137,37 @@ def test_csr_sssp_equals_dense_sssp_equals_bellman_ford(s, data):
     assert sssp_outcome(dense, source, s) == want
     assert sssp_outcome(csr, source, s) == want
     assert sssp_outcome(csr, source, s, early_exit=False) == want
+
+
+def test_bellman_ford_refuses_a_clipped_distance():
+    # 0 -> 1 -> 2 sums to 2 * FINITE_MAX - 2, which the saturating (x) clips
+    entries = [(0, 1, FINITE_MAX - 1), (1, 2, FINITE_MAX - 1)]
+    csr = tr.from_triplets(3, 3, entries, SemiringId.MINPLUS)
+    dense = tr.to_dense(csr)
+    assert relax_oracle(dense.to_rows(), 0, SemiringId.MINPLUS) is tr.SaturationError
+    assert sssp_outcome(dense, 0, SemiringId.MINPLUS) is tr.SaturationError
+    assert sssp_outcome(csr, 0, SemiringId.MINPLUS) is tr.SaturationError
+    assert relax_oracle(dense.to_rows(), 1, SemiringId.MINPLUS) == [P, 0, FINITE_MAX - 1]
+
+
+@pytest.mark.parametrize(
+    "s, entries, want",
+    [
+        (SemiringId.MAXPLUS, [(0, 2, P), (0, 1, FINITE_MIN), (1, 2, -5)],
+         [0, FINITE_MIN, FINITE_MAX]),
+        (SemiringId.MINPLUS, [(0, 2, N), (0, 1, FINITE_MAX), (1, 2, 5)],
+         [0, FINITE_MAX, FINITE_MIN]),
+    ],
+)
+def test_a_distance_set_by_an_infinite_edge_is_not_refused(s, entries, want):
+    # vertex 2 sits at the limit through the sentinel edge 0 -> 2, whose sum
+    # is clipped by definition; the sum past the range through vertex 1 is
+    # not the best one, so nothing was clipped away
+    csr = tr.from_triplets(3, 3, entries, s)
+    dense = tr.to_dense(csr)
+    assert relax_oracle(dense.to_rows(), 0, s) == want
+    assert sssp_outcome(dense, 0, s) == want
+    assert sssp_outcome(csr, 0, s) == want
 
 
 @pytest.mark.parametrize("s", ALL)

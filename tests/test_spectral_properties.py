@@ -8,6 +8,8 @@ components and, on small graphs, the best mean among all elementary cycles;
 of the Floyd sweep; ``eigenvector`` (one array comparison per iteration
 against the iterate history) must reproduce the loop that calls ``linf`` once
 per earlier iterate, bit for bit. The oracles live in ``spectral_oracle``.
+Each of the three also runs on the CSR form of the matrix and must give the
+same result, bit for bit.
 """
 
 from fractions import Fraction
@@ -72,11 +74,19 @@ def reach_closure(n, edges):
     return tr.closure(DenseMatrix(rows), tr.SemiringId.BOOLEAN)._arr != 0
 
 
+def as_csr(a: DenseMatrix):
+    return tr.from_dense(a, tr.SemiringId.MAXPLUS)
+
+
 def check_cycle_mean(a: DenseMatrix):
-    """Compare with the oracle; returns (mean, strongly connected) or None."""
-    lam = tr.max_cycle_mean(a)
-    got = None if lam is None else (lam.as_fraction(), lam.strongly_connected)
-    assert got == oracle.max_cycle_mean(a)
+    """Compare with the oracle, for the dense matrix and its CSR form;
+    returns (mean, strongly connected) or None."""
+    def result(m):
+        lam = tr.max_cycle_mean(m)
+        return None if lam is None else (lam.as_fraction(), lam.strongly_connected)
+
+    got = result(a)
+    assert got == result(as_csr(a)) == oracle.max_cycle_mean(a)
     return got
 
 
@@ -130,11 +140,12 @@ def ringed_edge_lists(draw, max_n=16, weights=WEIGHTS):
 
 def check_critical_vertices(a: DenseMatrix):
     expected = oracle.critical_vertices(a)
-    if expected is None:
-        with pytest.raises(tr.NoCycleError):
-            tr.critical_vertices(a)
-    else:
-        assert tr.critical_vertices(a) == expected
+    for m in (a, as_csr(a)):
+        if expected is None:
+            with pytest.raises(tr.NoCycleError):
+                tr.critical_vertices(m)
+        else:
+            assert tr.critical_vertices(m) == expected
 
 
 @settings(PROPERTY, max_examples=200)
@@ -199,6 +210,15 @@ def test_near_tie_below_float_resolution(base):
         assert lam.as_fraction() == want and lam.strongly_connected
 
 
+def test_csr_input_must_be_bound_to_maxplus():
+    a = tr.from_triplets(2, 2, [(0, 1, 3), (1, 0, 4)], tr.SemiringId.MINPLUS)
+    lam = CycleMean(7, 2)
+    calls = (tr.max_cycle_mean, tr.critical_vertices, lambda m: tr.eigenvector(m, lam))
+    for call in calls:
+        with pytest.raises(ValueError, match="matrix is bound to minplus but maxplus requested"):
+            call(a)
+
+
 def test_self_loop_components_count():
     # a lone self-loop is the heaviest cycle; the 2-cycle beside it is lighter
     a = DenseMatrix([[NEG_INF, 1, NEG_INF], [1, NEG_INF, 0], [NEG_INF, NEG_INF, 5]])
@@ -242,6 +262,8 @@ def test_eigenvector_matches_the_history_loop_on_periodic_graphs(a, eps, max_ite
     lam = tr.max_cycle_mean(a)
     got = tr.eigenvector(a, lam, epsilon=eps, max_iter=max_iter)
     assert eig_result_bits(got) == eig_result_bits(oracle.eigenvector(a, lam, eps, max_iter))
+    got_csr = tr.eigenvector(as_csr(a), lam, epsilon=eps, max_iter=max_iter)
+    assert eig_result_bits(got_csr) == eig_result_bits(got)
 
 
 @PROPERTY
@@ -253,6 +275,8 @@ def test_eigenvector_matches_the_history_loop(graph, eps, max_iter):
         return
     got = tr.eigenvector(a, lam, epsilon=eps, max_iter=max_iter)
     assert eig_result_bits(got) == eig_result_bits(oracle.eigenvector(a, lam, eps, max_iter))
+    got_csr = tr.eigenvector(as_csr(a), lam, epsilon=eps, max_iter=max_iter)
+    assert eig_result_bits(got_csr) == eig_result_bits(got)
 
 
 @pytest.mark.parametrize("c", [2, 3])
