@@ -86,7 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
         c = sub.add_parser(name, help=help_text)
         c.add_argument("file", help="graph file")
         c.add_argument(
-            "--sparse", action="store_true", help="parse into CSR form (sssp always does)"
+            "--sparse", action="store_true",
+            help="accepted and ignored: the command picks its own matrix form",
         )
         if guard:
             c.add_argument(
@@ -164,7 +165,7 @@ def _array_result(args, payload: dict, key: str, arr):
 
 
 def _cmd_closure(args):
-    m, s = _load_graph(args.file, args.sparse, args.closure_guard)
+    m, s = _load_graph(args.file, want_sparse=False, closure_guard=args.closure_guard)
     if args.command == "reach":
         result, token = graph.reachability(m, s), "boolean"
     elif args.command == "bottleneck":

@@ -10,6 +10,7 @@ arrays, ``relax``; only the per-round product differs: ``dense.vecmat`` with
 A, or ``sparse.spmv`` with A^T, which is built once per call. The input type
 selects the product: the CLI parses sssp input into CSR, so its memory is
 O(n + m), and the dense branch serves a caller that already holds the grid.
+Every solver reads a CSR input through ``sparse.edges``.
 """
 
 from __future__ import annotations
@@ -40,45 +41,33 @@ def _square_size(a: Matrix) -> int:
     return a.rows
 
 
-def sssp(
-    a: Matrix,
-    source: int,
-    s: SemiringId,
-    *,
-    early_exit: bool = True,
-) -> list[int]:
+def sssp(a: Matrix, source: int, s: SemiringId) -> list[int]:
     """Single-source optimal path values via fixed-point relaxation.
 
     d starts at zero(s) everywhere except one(s) at the source, then relaxes
-    d <- d (+) (d vecmat A) for at most n-1 rounds, stopping early once d is
-    stable. Under min-plus and max-plus, failure to stabilize means that a
-    cycle which improves every path through it is reachable from the source:
-    NegativeCycleError (min-plus) or PositiveCycleError (max-plus) is raised.
-    A min-plus or max-plus distance outside [FINITE_MIN, FINITE_MAX], which
-    the saturating (x) would clip to a plausible value, raises
-    SaturationError.
+    d <- d (+) (d vecmat A) for at most n rounds, stopping early once d is
+    stable. Simple paths have at most n-1 edges, so under min-plus and
+    max-plus a change in round n means that a cycle which improves every
+    path through it is reachable from the source: NegativeCycleError
+    (min-plus) or PositiveCycleError (max-plus) is raised. A min-plus or
+    max-plus distance outside [FINITE_MIN, FINITE_MAX], which the saturating
+    (x) would clip to a plausible value, raises SaturationError.
     """
     n = _square_size(a)
     if not 0 <= source < n:
         raise ValueError(f"source {source} out of range for {n} vertices")
     if isinstance(a, CsrMatrix):
-        if a.semiring is not s:
-            raise ValueError(
-                f"matrix is bound to {a.semiring.name.lower()} but {s.name.lower()} requested"
-            )
-        at = sparse.transpose(a)
+        src, dst, w = sparse.edges(a, s)
+        at = sparse._from_coo(n, n, dst, src, w, s)
         product = lambda x: sparse.spmv(at, x)
     else:
         product = lambda x: dense.vecmat(x, a, s)
     z = sr.zero(s)
     d = np.full(n, z, dtype=np.int64)
     d[source] = sr.one(s)
-    d, frontier, _ = relax(d, product, s, n - 1, early_exit)
-    # after n-1 rounds, d is a fixed point iff one more round changes nothing
+    d, frontier, _ = relax(d, product, s, n)
     if s in _DIVERGENCE:
-        if (frontier != z).any() and not np.array_equal(
-            dense.ADD_UFUNC[s](d, product(frontier)), d
-        ):
+        if (frontier != z).any():
             error, sign = _DIVERGENCE[s]
             raise error(
                 "single-source paths did not stabilize within n-1 rounds "
@@ -104,11 +93,7 @@ def _check_saturation(a: Matrix, d: np.ndarray, s: SemiringId) -> None:
     if not at_limit.any():
         return
     z = sr.zero(s)
-    if isinstance(a, CsrMatrix):
-        src, dst, w = sparse._coo_rows(a), a.col_idx.astype(np.int64), a.values
-    else:
-        src, dst = np.nonzero(a._arr != z)
-        w = a._arr[src, dst]
+    src, dst, w = sparse.edges(a, s)
     keep = at_limit[dst] & (d[src] != z)
     dst, w = dst[keep], w[keep]
     sums = d[src[keep]] + w
@@ -125,7 +110,7 @@ def _check_saturation(a: Matrix, d: np.ndarray, s: SemiringId) -> None:
         raise SaturationError(f"distance to vertex {v} sums to {best[v]}, past {limit}")
 
 
-def relax(d: np.ndarray, product, s: SemiringId, rounds: int, early_exit: bool = True):
+def relax(d: np.ndarray, product, s: SemiringId, rounds: int):
     """Up to ``rounds`` rounds of d <- d (+) product(d), the relaxation that
     single-source paths and the scheduler share.
 
@@ -133,9 +118,9 @@ def relax(d: np.ndarray, product, s: SemiringId, rounds: int, early_exit: bool =
     previous round, with zero(s) elsewhere (at first, all of d). (+) is
     idempotent, so the products of the unchanged entries are already folded
     into d, and every round gives the d that a product of the whole vector
-    would. Returns d, the frontier of the last round (all zero(s) once d is
-    stable) and the number of rounds run; with ``early_exit`` the rounds stop
-    at the first one that changes nothing.
+    would. The rounds stop at the first one that changes nothing. Returns d,
+    the frontier of the last round (all zero(s) once d is stable) and the
+    number of rounds run.
     """
     z = sr.zero(s)
     add = dense.ADD_UFUNC[s]
@@ -145,20 +130,19 @@ def relax(d: np.ndarray, product, s: SemiringId, rounds: int, early_exit: bool =
         changed = nxt != d
         frontier = np.where(changed, nxt, z)
         d = nxt
-        if early_exit and not changed.any():
+        if not changed.any():
             return d, frontier, k
     return d, frontier, rounds
 
 
 def all_pairs_paths(a: Matrix, s: SemiringId) -> DenseMatrix:
     """A*; entry (i, j) is the optimal path value from i to j."""
-    _square_size(a)
+    n = _square_size(a)
     if isinstance(a, CsrMatrix):
-        if a.semiring is not s:
-            raise ValueError(
-                f"matrix is bound to {a.semiring.name.lower()} but {s.name.lower()} requested"
-            )
-        a = sparse.to_dense(a)
+        src, dst, w = sparse.edges(a, s)
+        arr = np.full((n, n), sr.zero(s), dtype=np.int32)
+        arr[src, dst] = w
+        a = DenseMatrix._wrap(arr)
     return dense.closure(a, s)
 
 
@@ -171,8 +155,9 @@ def reachability(a: Matrix, s: SemiringId = SemiringId.BOOLEAN) -> DenseMatrix:
     """
     n = _square_size(a)
     if isinstance(a, CsrMatrix):
+        src, dst, _ = sparse.edges(a, a.semiring)
         arr = np.zeros((n, n), dtype=np.int32)
-        arr[sparse._coo_rows(a), a.col_idx] = 1
+        arr[src, dst] = 1
     else:
         arr = (a._arr != sr.zero(s)).astype(np.int32)
     return dense.closure(DenseMatrix._wrap(arr), SemiringId.BOOLEAN)
@@ -180,9 +165,4 @@ def reachability(a: Matrix, s: SemiringId = SemiringId.BOOLEAN) -> DenseMatrix:
 
 def bottleneck_paths(a: Matrix) -> DenseMatrix:
     """Max-min closure; (i, j) is the best minimum edge weight over paths."""
-    _square_size(a)
-    if isinstance(a, CsrMatrix):
-        if a.semiring is not SemiringId.MAXMIN:
-            raise ValueError("bottleneck_paths expects a max-min matrix")
-        a = sparse.to_dense(a)
-    return dense.closure(a, SemiringId.MAXMIN)
+    return all_pairs_paths(a, SemiringId.MAXMIN)

@@ -36,7 +36,7 @@ from .dense import ADD_UFUNC, DenseMatrix
 from .errors import GraphParseError
 from .scheduler import TaskGraph
 from .semiring import NEG_INF, POS_INF, SemiringId
-from .sparse import CsrMatrix, _coo_rows, from_triplets
+from .sparse import edges, from_triplets
 
 # the integer grammar of every numeric field: ASCII digits with an optional
 # minus sign (int() alone also takes '+5', '1_000' and non-ASCII digits)
@@ -177,12 +177,9 @@ def _parse_lines(lines: list[str], first: int, rows: int, cols: int) -> np.ndarr
 
 
 def format_graph(matrix, s: SemiringId) -> str:
-    """Serialize a matrix back into the graph file format (round-trippable)."""
-    if isinstance(matrix, CsrMatrix):
-        u, v, w = _coo_rows(matrix), matrix.col_idx, matrix.values
-    else:
-        u, v = np.nonzero(matrix._arr != sr.zero(s))
-        w = matrix._arr[u, v]
+    """Serialize a matrix back into the graph file format (round-trippable).
+    A CSR matrix must be bound to s."""
+    u, v, w = edges(matrix, s)
     rows, cols = matrix.rows, matrix.cols
     if rows == cols:
         header = f"{rows} {len(w)} {sr.TOKEN_OF[s]}"

@@ -206,7 +206,9 @@ def critical_path(g: TaskGraph, result: ScheduleResult | None = None) -> list[in
 
     Every hop is tight (start_dst == start_src + lag) and the final task
     completes at the makespan; ties are broken toward the lowest task id.
-    A result whose task count differs from g.n is refused.
+    A result of another task count, or one that breaks a constraint added
+    after its solve, is refused; one that meets every constraint is still
+    the least solution.
     """
     if result is None:
         result = g._last_result
@@ -216,6 +218,12 @@ def critical_path(g: TaskGraph, result: ScheduleResult | None = None) -> list[in
         raise ValueError(
             f"critical_path: result has {len(result.start)} tasks but the graph has {g.n}"
         )
+    src, dst, lag = _edges(g)
+    start = np.array(result.start, dtype=np.int64)
+    broken = np.flatnonzero(start[dst] < start[src] + lag)
+    if broken.size:
+        u, v = g.names[src[broken[0]]], g.names[dst[broken[0]]]
+        raise ValueError(f"critical_path: result breaks the constraint {u!r} -> {v!r}")
     incoming: list[list[_Edge]] = [[] for _ in range(g.n)]
     for e in g.edges:
         if not e.feedback:

@@ -31,7 +31,6 @@ from .dense import _WIDE, _WIDE_CUT
 from .errors import NoCycleError
 from .graph import Matrix, relax
 from .semiring import NEG_INF, SemiringId
-from .sparse import CsrMatrix
 
 
 class CycleMean(Fraction):
@@ -103,12 +102,7 @@ def _edge_list(a: Matrix):
     sorted by source."""
     if a.rows != a.cols:
         raise ValueError("cycle mean requires a square matrix")
-    if isinstance(a, CsrMatrix):
-        if a.semiring is not SemiringId.MAXPLUS:
-            raise ValueError(f"matrix is bound to {a.semiring.name.lower()} but maxplus requested")
-        return sparse._coo_rows(a), a.col_idx.astype(np.int64), a.values.astype(np.int64)
-    src, dst = np.nonzero(a._arr != NEG_INF)
-    return src, dst, a._arr[src, dst].astype(np.int64)
+    return sparse.edges(a, SemiringId.MAXPLUS)
 
 
 def _max_cycle_mean_edges(n: int, src, dst, w) -> CycleMean | None:

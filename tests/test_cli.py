@@ -4,6 +4,7 @@ import sys
 import tracemalloc
 
 import pytest
+from conftest import FIXTURES
 
 from tropical.cli import run
 
@@ -221,6 +222,20 @@ def test_maxplus_positive_cycle_exit_code(tmp_path, capsys):
         assert code == 1
         assert out == ""
         assert "PositiveCycleError" in err
+
+
+@pytest.mark.parametrize("command", ["closure", "apsp", "reach", "bottleneck"])
+def test_sparse_flag_selects_nothing_on_the_closure_commands(capsys, command):
+    # every graph fixture, malformed ones included, and a guard refusal: the
+    # same exit code, stdout and stderr with and without --sparse
+    codes = set()
+    for path in sorted(FIXTURES.glob("*.graph")):
+        for opts in ([], ["--json"], ["--closure-guard", "2"]):
+            runs = [invoke(capsys, command, str(path), *opts, *extra)
+                    for extra in ([], ["--sparse"])]
+            assert runs[0] == runs[1], (path.name, opts)
+            codes.add(runs[0][0])
+    assert codes == {0, 1, 2}
 
 
 @pytest.mark.parametrize("token", ["\u0663", "1_000"])
@@ -510,6 +525,7 @@ def test_the_bench_harness_is_imported_on_first_use():
         "assert tropical.run_bench is sys.modules['tropical.bench'].run_bench\n"
         "from tropical import BenchReport\n"
         "assert BenchReport.__module__ == 'tropical.bench'\n"
+        "assert not {'scipy', 'hypothesis'} & set(sys.modules), 'not a runtime dependency'\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

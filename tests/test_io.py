@@ -107,6 +107,12 @@ def test_round_trip_sparse_and_rectangular():
     assert m2 == b
 
 
+def test_format_graph_refuses_a_csr_bound_to_another_semiring():
+    a = tr.from_triplets(2, 2, [(0, 1, 3)], SemiringId.MAXPLUS)
+    with pytest.raises(ValueError, match="matrix is bound to maxplus but minplus requested"):
+        tr.format_graph(a, SemiringId.MINPLUS)
+
+
 def test_parse_schedule_matches_programmatic(fixtures):
     g = tr.parse_schedule((fixtures / "drone.sched").read_text())
     assert g.n == 12

@@ -7,7 +7,8 @@ chunks. Inputs are heavy in sentinels, in values near the finite limits (so
 that sums leave the finite range), in the other sentinel acting as a value
 (POS_INF under max-plus, NEG_INF under min-plus), in zero(s) entries of x and
 in all-zero columns; Boolean gets values beyond 0 and 1. Every case must
-match the ``*_reference`` kernels bit for bit.
+match the ``*_reference`` kernels bit for bit; ``spmm`` runs on the CSR forms
+of the ``matmul`` operands.
 """
 
 import numpy as np
@@ -66,6 +67,16 @@ def test_matmul_matches_reference(s, data):
             got = tr.matmul(a, b, s)
         assert got._arr.dtype.name == "int32"
         assert got == want
+    # spmm on the CSR forms (from_dense maps Boolean values to 0 and 1), at
+    # the default block, which holds every product, and at blocks of 3
+    # products: one row per block when a row has more
+    sa, sb = tr.from_dense(a, s), tr.from_dense(b, s)
+    want = tr.matmul_reference(tr.to_dense(sa), tr.to_dense(sb), s)
+    for block in (tr.sparse._SPMM_BLOCK, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tr.sparse, "_SPMM_BLOCK", block)
+            got = tr.spmm(sa, sb)
+        assert tr.to_dense(got) == want
 
 
 @pytest.mark.parametrize("s", ALL)

@@ -345,7 +345,8 @@ def test_a_changed_graph_drops_its_solve():
     g.add_constraint(b, c, 10)
     with pytest.raises(ValueError, match="requires a completed solve"):
         tr.critical_path(g)
-    assert tr.critical_path(g, r) == [0, 2]
+    with pytest.raises(ValueError, match="breaks the constraint 'b' -> 'c'"):
+        tr.critical_path(g, r)
     tr.solve(g)
     assert tr.critical_path(g) == [1, 2]
     g.add_task("d", 1)
@@ -365,6 +366,16 @@ def test_critical_path_refuses_a_result_of_fewer_tasks():
     g.add_task("d", 1)
     with pytest.raises(ValueError, match="result has 3 tasks but the graph has 4"):
         tr.critical_path(g, r)
+
+
+def test_critical_path_walks_a_result_that_meets_a_later_slack_constraint():
+    # a result that meets every current constraint is still the least one
+    g = TaskGraph()
+    a, b, c = g.add_task("a", 5), g.add_task("b", 1), g.add_task("c", 2)
+    g.add_constraint(a, c)
+    r = tr.solve(g)
+    g.add_constraint(b, c, 3)
+    assert tr.critical_path(g, r) == tr.critical_path(g, tr.solve(g)) == [0, 2]
 
 
 def test_a_refused_change_keeps_the_solve():

@@ -114,9 +114,9 @@ def relax_oracle(rows, source, s):
     return d
 
 
-def sssp_outcome(a, source, s, **kw):
+def sssp_outcome(a, source, s):
     try:
-        return tr.sssp(a, source, s, **kw)
+        return tr.sssp(a, source, s)
     except (tr.NegativeCycleError, tr.PositiveCycleError, tr.SaturationError) as exc:
         return type(exc)
 
@@ -136,7 +136,6 @@ def test_csr_sssp_equals_dense_sssp_equals_bellman_ford(s, data):
     want = relax_oracle(dense.to_rows(), source, s)
     assert sssp_outcome(dense, source, s) == want
     assert sssp_outcome(csr, source, s) == want
-    assert sssp_outcome(csr, source, s, early_exit=False) == want
 
 
 def test_bellman_ford_refuses_a_clipped_distance():
