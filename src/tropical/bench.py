@@ -1,16 +1,17 @@
 """Micro-benchmark harness for the dense kernels and CSR single-source paths.
 
 Timings are measurements, never assertions: the harness reports elapsed
-wall-clock per repetition plus MOPS (millions of semiring multiply-add
-operations per second), counting 2*n^3 operations for an n x n product or
-closure sweep, 2*n^2 for a matrix-vector product, 2*m for ``sssp`` on a
-graph of m edges, and 2*n*m for ``eig`` (``max_cycle_mean``) on a strongly
-connected graph of n vertices and m distinct edges. The ``sssp`` count is one
-relaxation sweep over the edges, so its MOPS is an edge throughput, not a
-count of the rounds run; the ``eig`` count is Karp's n rounds, each relaxing
-every edge with one add and one max. ``render`` times the --json text of an
-n x n matrix (``io.format_array``), and its MOPS counts the n^2 values
-rendered per microsecond.
+wall-clock per repetition, their mean and median, and MOPS (millions of
+semiring multiply-add operations per second, over the mean), counting 2*n^3
+operations for an n x n product or closure sweep, 2*n^2 for a matrix-vector
+product, 2*m for ``sssp`` on a graph of m edges, and 2*n*m for ``eig``
+(``max_cycle_mean``) on a strongly connected graph of n vertices and m
+distinct edges. The ``sssp`` count is one relaxation sweep over the edges,
+so its MOPS is an edge throughput, not a count of the rounds run; the
+``eig`` count is Karp's n rounds, each relaxing every edge with one add and
+one max. ``render`` times the --json text of an n x n matrix
+(``io.format_array``), and its MOPS counts the n^2 values rendered per
+microsecond.
 
 The closure, matmul and render benchmarks take one of two input kinds:
 ``uniform`` (the default) fills every entry uniformly from [-1000, 1000];
@@ -24,6 +25,7 @@ CRC-32 of the inputs (``checksum``) and one of the last repetition's result
 
 from __future__ import annotations
 
+import statistics
 import time
 import zlib
 from dataclasses import dataclass
@@ -59,6 +61,7 @@ class BenchReport:
     seed: int
     elapsed_us: list[float]
     mean_us: float
+    median_us: float
     mops: float
     checksum: int
     kind: str
@@ -202,6 +205,7 @@ def run_bench(
         seed=seed,
         elapsed_us=elapsed,
         mean_us=mean_us,
+        median_us=statistics.median(elapsed),
         mops=mops,
         checksum=checksum,
         kind=kind,

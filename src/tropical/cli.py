@@ -311,6 +311,7 @@ def _cmd_bench(args):
         "seed": report.seed,
         "elapsed_us": [round(e, 3) for e in report.elapsed_us],
         "mean_us": round(report.mean_us, 3),
+        "median_us": round(report.median_us, 3),
         "mops": round(report.mops, 3),
         "checksum": report.checksum,
         "input": report.kind,

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import semiring as sr
-from .errors import NegativeCycleError
+from .errors import NegativeCycleError, PositiveCycleError
 from .semiring import SemiringId
 
 _I32 = np.int32
@@ -189,11 +189,17 @@ def _encode(arr: np.ndarray, s: SemiringId) -> np.ndarray:
     return np.where(arr == sr.zero(s), _WIDE_ZERO[s], arr)
 
 
+def _wide_zero(w: np.ndarray, s: SemiringId) -> np.ndarray:
+    """Mask of the entries of a wide-encoded array that hold zero(s): those
+    beyond the cut."""
+    return w > _WIDE_CUT if s is SemiringId.MINPLUS else w < -_WIDE_CUT
+
+
 def _decode(w: np.ndarray, s: SemiringId) -> np.ndarray:
     """int32 values of a wide-encoded plus-semiring array, clipping w in
     place: entries beyond the cut are zero(s), the rest clip to
     [FINITE_MIN, FINITE_MAX]."""
-    zero = w > _WIDE_CUT if s is SemiringId.MINPLUS else w < -_WIDE_CUT
+    zero = _wide_zero(w, s)
     out = np.clip(w, _LO, _HI, out=w).astype(_I32)
     out[zero] = sr.zero(s)
     return out
@@ -286,23 +292,36 @@ def matpow(a: DenseMatrix, k: int, s: SemiringId) -> DenseMatrix:
 
 # -- closure ------------------------------------------------------------------
 
+# The error of a min-plus / max-plus closure or single-source solve that
+# does not converge, and the sign of the cycle that improves every path
+# through it.
+DIVERGENCE = {
+    SemiringId.MINPLUS: (NegativeCycleError, "negative"),
+    SemiringId.MAXPLUS: (PositiveCycleError, "positive"),
+}
+
+
 def closure(a: DenseMatrix, s: SemiringId) -> DenseMatrix:
     """Kleene star A* = (+)_{k>=0} A^k via the in-place triple loop.
 
-    Under min-plus, a diagonal entry strictly below the multiplicative
-    identity after the sweep means a negative cycle: Kleene convergence does
-    not hold, and a NegativeCycleError carrying the computed matrix and the
+    Under min-plus and max-plus, a diagonal entry that (+)-improves on the
+    multiplicative identity after the sweep (below 0 under min-plus, above 0
+    under max-plus) means a cycle that improves every path through it:
+    Kleene convergence does not hold, and a NegativeCycleError (min-plus) or
+    PositiveCycleError (max-plus) carrying the computed matrix and the
     offending vertices is raised.
     """
     d = _closure_kernel(a, s)
     out = DenseMatrix._wrap(d)
-    if s is SemiringId.MINPLUS:
-        diag = np.diagonal(d)
-        bad = np.nonzero(diag < 0)[0]
+    if s in DIVERGENCE:
+        # the sweep starts each D_ii at D_ii (+) 0 and only (+)-improves it,
+        # so an entry other than 0 is one that improved on 0
+        bad = np.flatnonzero(np.diagonal(d) != 0)
         if bad.size:
-            raise NegativeCycleError(
-                f"negative cycle through vertices {bad.tolist()}",
-                vertices=tuple(int(i) for i in bad),
+            error, sign = DIVERGENCE[s]
+            raise error(
+                f"{sign} cycle through vertices {bad.tolist()}",
+                vertices=tuple(bad.tolist()),
                 matrix=out,
             )
     return out
@@ -318,26 +337,27 @@ def _closure_kernel(a: DenseMatrix, s: SemiringId) -> np.ndarray:
     values. The lattice semirings (maxmin, minmax, boolean) always satisfy
     this: absorption, x (+) (x (x) y) == x, keeps row and column k fixed
     whatever D_kk is. Each closure runs on the narrowest dtype that is exact
-    for its input; all but the int64 fallback and the 0/1 Boolean sweep run
-    one rank-1 loop, ``_sweep``:
+    for its input, and every chunked update of every sweep but the 0/1
+    Boolean one goes through one helper, ``_rank1``:
 
-    * Min-plus / max-plus run on int32 when (n - 1) * B <= 2^28, where B is
-      the largest |v| over the entries that differ from zero(s). The zero is
-      held as +Z (min-plus) or -Z (max-plus), Z = 3 * 2^28, and an entry
-      beyond the cut 2^28 decodes to zero(s). Before the first divergent
-      pass every stored value is an optimal path over intermediates < k, so
-      a path of real edges lies within +-(n - 1) * B (inside the cut), and a
-      path through a Z edge has |value| >= Z - (n - 2) * B (beyond the cut);
-      the real one always wins, every sum stays within 2Z < 2^31, and no
-      sum reaches the saturation range of the scalar loop. So the sweep
-      needs neither a clip nor a saturation check. At the first divergent
-      pass k (min-plus D_kk < 0, max-plus D_kk > 0) it stops, and
-      ``_closure_plus`` resumes at pass k from that state: int64 with the
-      zero held as -/+_WIDE (the entries beyond the cut), a saturation check
-      per pass, and the scalar order replayed in stages for each divergent
-      pass. Up to pass k the wide sweep would have held the same finite
-      values, since none of its sums saturates either. Inputs the bound
-      rejects are swept by ``_closure_plus`` from the start.
+    * Min-plus / max-plus (``_closure_plus``) run on int32 when
+      (n - 1) * B <= 2^28, where B is the largest |v| over the entries that
+      differ from zero(s). The zero is held as +Z (min-plus) or -Z
+      (max-plus), Z = 3 * 2^28, and an entry beyond the cut 2^28 decodes to
+      zero(s). Before the first divergent pass every stored value is an
+      optimal path over intermediates < k, so a path of real edges lies
+      within +-(n - 1) * B (inside the cut), and a path through a Z edge has
+      |value| >= Z - (n - 2) * B (beyond the cut); the real one always wins,
+      every sum stays within 2Z < 2^31, and no sum reaches the saturation
+      range of the scalar loop. So the sweep needs neither a clip nor a
+      saturation check. At the first divergent pass k (min-plus D_kk < 0,
+      max-plus D_kk > 0) it stops, and ``_wide_sweep`` resumes at pass k
+      from that state, decoded and re-encoded by ``_encode``: int64 with
+      the zero held as -/+_WIDE, a saturation check per pass, and the
+      scalar order replayed in stages for each divergent pass. Up to pass k
+      the wide sweep would have held the same finite values, since none of
+      its sums saturates either. Inputs the bound rejects are swept wide
+      from pass 0.
     * Max-min / min-max only compare values, so any strictly increasing
       recoding commutes with the sweep. When the finite values span at most
       _CODE_SPAN, they are shifted around their midpoint into int16 codes
@@ -349,9 +369,8 @@ def _closure_kernel(a: DenseMatrix, s: SemiringId) -> np.ndarray:
     if a.rows != a.cols:
         raise ValueError("closure requires a square matrix")
     arr = a._arr
-    if s is SemiringId.MAXPLUS or s is SemiringId.MINPLUS:
-        d = _closure_narrow_plus(arr, s, resume=True)
-        return _closure_plus(arr, s) if d is None else d
+    if s in _WIDE_ZERO:
+        return _closure_plus(arr, s)
     if s is SemiringId.BOOLEAN and arr.min() >= 0 and arr.max() <= 1:
         return _closure_bool(arr)
     d = None if s is SemiringId.BOOLEAN else _closure_order(arr, s)
@@ -361,32 +380,47 @@ def _closure_kernel(a: DenseMatrix, s: SemiringId) -> np.ndarray:
     return d
 
 
-# Elements of the product buffer of the rank-1 sweep: each pass runs in row
-# chunks of this size. Up to n = 512 that is one chunk; at n = 1024 it was
-# 20-30 % faster than one n x n buffer (int32 and int16 alike).
+# Elements of the product buffer of a closure pass: each rank-1 update runs
+# in row chunks of this size. The int32 and int16 sweeps take _SWEEP_CHUNK:
+# up to n = 512 that is one chunk, and at n = 1024 it was 20-30 % faster
+# than one n x n buffer. The int64 sweep takes _WIDE_CHUNK, which stays in
+# cache; at _SWEEP_CHUNK a min-plus sweep from pass 0 at n = 768 ran 15-25 %
+# slower.
 _SWEEP_CHUNK = 1 << 18
+_WIDE_CHUNK = 1 << 15
+
+
+def _rank1(block, col, row, s: SemiringId, step: int, buf, clip=False) -> None:
+    """block (+)= col (x) row, ``step`` rows at a time through buf. ``clip``
+    (wide encoding only) clips each finite sum to [FINITE_MIN, FINITE_MAX]
+    and keeps each sum with zero(s) at the wide zero, as the saturating (x)
+    of the scalar loop does."""
+    mul, add = _SWEEP_OPS[s]
+    for i0 in range(0, block.shape[0], step):
+        part = block[i0 : i0 + step]
+        out = buf[: part.size].reshape(part.shape)
+        mul(col[i0 : i0 + step, None], row, out=out)
+        if clip:
+            zero = _wide_zero(out, s)
+            np.clip(out, _LO, _HI, out=out)
+            np.copyto(out, _WIDE_ZERO[s], where=zero)
+        add(part, out, out=part)
 
 
 def _sweep(d: np.ndarray, s: SemiringId, one: int) -> bool:
-    """The rank-1 closure loop, in place on an encoded array whose one(s)
-    is ``one``: the diagonal step, then D <- D (+) D[:, k] (x) D[k, :] for
+    """The narrow closure loop, in place on an encoded array whose one(s) is
+    ``one``: the diagonal step, then D <- D (+) D[:, k] (x) D[k, :] for
     every k. Returns False, leaving d partly swept, at the first plus-
     semiring pass whose D_kk is not ``one`` (a divergent pass)."""
-    mul, add = _SWEEP_OPS[s]
-    plus = s is SemiringId.MAXPLUS or s is SemiringId.MINPLUS
+    plus = s in _WIDE_ZERO
     n = d.shape[0]
-    d[np.diag_indices(n)] = add(np.diagonal(d), one)
+    d[np.diag_indices(n)] = ADD_UFUNC[s](np.diagonal(d), one)
     step = max(1, _SWEEP_CHUNK // n)
     buf = np.empty(min(n, step) * n, dtype=d.dtype)
     for k in range(n):
         if plus and d[k, k] != one:
             return False
-        col, row = d[:, k], d[k]
-        for i0 in range(0, n, step):
-            part = d[i0 : i0 + step]
-            out = buf[: part.size].reshape(part.shape)
-            mul(col[i0 : i0 + step, None], row, out=out)
-            add(part, out, out=part)
+        _rank1(d, d[:, k], d[k], s, step, buf)
     return True
 
 
@@ -397,31 +431,72 @@ _NARROW_ZERO = 3 * 2**28
 _NARROW_CUT = 2**28
 
 
-def _closure_narrow_plus(
-    arr: np.ndarray, s: SemiringId, resume: bool = False
-) -> np.ndarray | None:
-    """Min-plus / max-plus sweep on int32; None when the bound on the
-    entries fails. A divergent pass k also returns None, unless ``resume``
-    asks ``_closure_plus`` to finish the sweep from pass k."""
+def _closure_plus(arr: np.ndarray, s: SemiringId) -> np.ndarray:
+    """Min-plus / max-plus closure: the int32 sweep while the bound holds and
+    no pass diverges, the wide sweep from the first pass where either fails."""
     n = arr.shape[0]
-    zero = sr.zero(s)
-    live = arr != zero
+    minplus = s is SemiringId.MINPLUS
+    live = arr != sr.zero(s)
     bound = max(-int(arr.min(where=live, initial=0)), int(arr.max(where=live, initial=0)))
     if (n - 1) * bound > _NARROW_CUT:
-        return None
-    d = arr.copy()
-    d[~live] = _NARROW_ZERO if s is SemiringId.MINPLUS else -_NARROW_ZERO
+        return _wide_sweep(_encode(arr, s), s, 0)
+    d = np.where(live, arr, _NARROW_ZERO if minplus else -_NARROW_ZERO)
     done = _sweep(d, s, 0)
-    if not (done or resume):
-        return None
-    cut = d > _NARROW_CUT if s is SemiringId.MINPLUS else d < -_NARROW_CUT
-    if not done:
-        # every pass before k left its own D_jj at 0, so k is the first
-        # nonzero diagonal entry
-        k = int(np.flatnonzero(np.diagonal(d))[0])
-        return _closure_plus(d, s, k, cut)
-    d[cut] = zero
-    return d
+    d[d > _NARROW_CUT if minplus else d < -_NARROW_CUT] = sr.zero(s)
+    if done:
+        return d
+    # every pass before the divergent one left its own D_jj at 0
+    return _wide_sweep(_encode(d, s), s, int(np.flatnonzero(np.diagonal(d))[0]))
+
+
+def _wide_sweep(w: np.ndarray, s: SemiringId, start: int) -> np.ndarray:
+    """Passes start..n-1 of the min-plus / max-plus sweep, in place on the
+    wide encoding of the input (start 0) or of its state after passes
+    0..start-1; returns the int32 result.
+
+    A rank-1 pass saturates only when a finite sum can leave
+    [FINITE_MIN, FINITE_MAX]; the O(n) bound check on row and column k
+    decides whether the n^2 clip runs. The result is decoded without a clip:
+    each sum was clipped where it had to be, and the other sentinel (POS_INF
+    under max-plus, NEG_INF under min-plus) is a value that must stay.
+    """
+    n = w.shape[0]
+    # the diagonal step, a no-op on a resumed state
+    w[np.diag_indices(n)] = ADD_UFUNC[s](np.diagonal(w), 0)
+    step = max(1, _WIDE_CHUNK // n)
+    buf = np.empty(min(n, step) * n, dtype=_I64)
+    for k in range(start, n):
+        if w[k, k] != 0:
+            _staged_pass(w, k, s, step, buf)
+            continue
+        col, row = w[:, k], w[k]
+        col_fin, row_fin = ~_wide_zero(col, s), ~_wide_zero(row, s)
+        # D_kk == 0 is finite, so both masks select at least one entry
+        clip = (
+            col.min(where=col_fin, initial=_HI) + row.min(where=row_fin, initial=_HI) < _LO
+            or col.max(where=col_fin, initial=_LO) + row.max(where=row_fin, initial=_LO) > _HI
+        )
+        _rank1(w, col, row, s, step, buf, clip)
+    w[_wide_zero(w, s)] = sr.zero(s)
+    return w.astype(_I32)
+
+
+def _staged_pass(w: np.ndarray, k: int, s: SemiringId, step: int, buf: np.ndarray) -> None:
+    """Pass k of the scalar i-then-j loop on the wide encoding, replayed
+    exactly.
+
+    The scalar loop rewrites column k (at j == k) and row k (at i == k) while
+    still reading them, so the update runs in three stages: rows above k
+    (row k still pre-update), row k itself (D_kk read by every j and
+    rewritten at j == k), and rows below k (row k fully updated). In each,
+    the columns up to k read column k as the stage found it (a chunk forms
+    all its sums before it folds them in), and the columns after k read it
+    rewritten.
+    """
+    rowk = w[k]
+    for rows in (w[:k], rowk[None], w[k + 1 :]):
+        _rank1(rows[:, : k + 1], rows[:, k], rowk[: k + 1], s, step, buf, clip=True)
+        _rank1(rows[:, k + 1 :], rows[:, k], rowk[k + 1 :], s, step, buf, clip=True)
 
 
 # Widest span hi - lo of finite values that int16 order codes hold: the
@@ -445,97 +520,6 @@ def _closure_order(arr: np.ndarray, s: SemiringId) -> np.ndarray | None:
     d[codes == -32768] = sr.NEG_INF
     d[codes == 32767] = sr.POS_INF
     return d
-
-
-# Elements of the int64 product buffer of a plus-semiring closure pass: the
-# rank-1 update runs in row chunks of this size, which stay in cache.
-_CLOSURE_CHUNK = 1 << 15
-
-
-def _closure_plus(
-    arr: np.ndarray, s: SemiringId, start: int = 0, zero: np.ndarray | None = None
-) -> np.ndarray:
-    """Min-plus / max-plus sweep on the wide encoding, decoded once at the end.
-
-    A rank-1 pass saturates only when a finite sum can leave
-    [FINITE_MIN, FINITE_MAX]; the O(n) bound check on row and column k
-    decides whether the n^2 clip runs. The sweep runs passes ``start``..n-1
-    over arr, the input or a state after passes 0..start-1; ``zero`` marks
-    its zero(s) entries (by default, those equal to zero(s)).
-    """
-    if s is SemiringId.MINPLUS:
-        zero_w, add = _WIDE, np.minimum
-
-        def is_zero(v):
-            return v > _WIDE_CUT
-    else:
-        zero_w, add = -_WIDE, np.maximum
-
-        def is_zero(v):
-            return v < -_WIDE_CUT
-
-    n = arr.shape[0]
-    d = arr.astype(_I64)
-    d[arr == sr.zero(s) if zero is None else zero] = zero_w
-    d[np.diag_indices(n)] = add(np.diagonal(d), 0)
-    step = max(1, _CLOSURE_CHUNK // n)
-    buf = np.empty(min(n, step) * n, dtype=_I64)
-
-    def relax(block, col, row, exact=True):
-        """block (+)= col (x) row, a chunk of rows at a time through buf.
-        exact=False skips the clip and the zero reset: the caller has checked
-        that no finite sum leaves the finite range."""
-        for i0 in range(0, block.shape[0], step):
-            part = block[i0 : i0 + step]
-            out = buf[: part.size].reshape(part.shape)
-            np.add(col[i0 : i0 + step, None], row, out=out)
-            if exact:
-                zero = is_zero(out)
-                np.clip(out, _LO, _HI, out=out)
-                np.copyto(out, zero_w, where=zero)
-            add(part, out, out=part)
-
-    for k in range(start, n):
-        if d[k, k] != 0:
-            _staged_pass(d, k, relax)
-            continue
-        col, row = d[:, k], d[k]
-        col_fin, row_fin = ~is_zero(col), ~is_zero(row)
-        # D_kk == 0 is finite, so both masks select at least one entry
-        saturates = (
-            col.min(where=col_fin, initial=_HI) + row.min(where=row_fin, initial=_HI) < _LO
-            or col.max(where=col_fin, initial=_LO) + row.max(where=row_fin, initial=_LO) > _HI
-        )
-        relax(d, col, row, exact=saturates)
-    d[is_zero(d)] = sr.zero(s)
-    return d.astype(_I32)
-
-
-def _staged_pass(d: np.ndarray, k: int, relax) -> None:
-    """Pass k of the scalar i-then-j loop, replayed exactly.
-
-    The scalar loop rewrites column k (at j == k) and row k (at i == k) while
-    still reading them, so the update is split into rows above k, row k
-    itself (with D_kk refreshed mid-row), and rows below k.
-    """
-    rowk = d[k]
-    # rows i < k: row k is still pre-update here
-    top = d[:k]
-    col = top[:, k].copy()
-    relax(top[:, :k], col, rowk[:k])
-    relax(top[:, k : k + 1], col, rowk[k : k + 1])
-    relax(top[:, k + 1 :], top[:, k], rowk[k + 1 :])
-    # row i == k: D_kk is read by every j and rewritten at j == k
-    dkk = rowk[k : k + 1].copy()
-    relax(rowk[None, :k], dkk, rowk[:k])
-    relax(rowk[None, k : k + 1], dkk, dkk)
-    relax(rowk[None, k + 1 :], rowk[k : k + 1], rowk[k + 1 :])
-    # rows i > k: row k has been fully updated
-    bot = d[k + 1 :]
-    col = bot[:, k].copy()
-    relax(bot[:, :k], col, rowk[:k])
-    relax(bot[:, k : k + 1], col, rowk[k : k + 1])
-    relax(bot[:, k + 1 :], bot[:, k], rowk[k + 1 :])
 
 
 def _closure_bool(arr: np.ndarray) -> np.ndarray:

@@ -7,13 +7,12 @@ class TropicalError(Exception):
     """Base class for domain-level failures (as opposed to usage errors)."""
 
 
-class NegativeCycleError(TropicalError):
-    """A min-plus computation detected a negative-weight cycle.
-
-    The partially/fully computed result is still attached so callers can
-    inspect it: ``matrix`` for closure-style operations (the full Floyd-
-    Warshall output), ``vertices`` for the diagonal indices that dipped
-    below the multiplicative identity.
+class _CycleError(TropicalError):
+    """A cycle improves every path through it, so the paths have no fixed
+    point. The partially/fully computed result is still attached so callers
+    can inspect it: ``matrix`` for closure-style operations (the full Floyd-
+    Warshall output), ``vertices`` for the diagonal indices that improved on
+    the multiplicative identity.
     """
 
     def __init__(self, message: str, vertices: tuple[int, ...] = (), matrix=None):
@@ -22,12 +21,14 @@ class NegativeCycleError(TropicalError):
         self.matrix = matrix
 
 
-class PositiveCycleError(TropicalError):
-    """A max-plus computation detected a positive-weight cycle.
+class NegativeCycleError(_CycleError):
+    """A min-plus computation detected a negative-weight cycle: shortest-path
+    values through it fall without bound."""
 
-    Longest-path values through such a cycle grow without bound, so the
-    relaxation has no fixed point.
-    """
+
+class PositiveCycleError(_CycleError):
+    """A max-plus computation detected a positive-weight cycle: longest-path
+    values through it grow without bound."""
 
 
 class SaturationError(TropicalError):

@@ -21,18 +21,11 @@ import numpy as np
 
 from . import dense, semiring as sr, sparse
 from .dense import DenseMatrix
-from .errors import NegativeCycleError, PositiveCycleError, SaturationError
+from .errors import SaturationError
 from .semiring import SemiringId
 from .sparse import CsrMatrix
 
 Matrix = Union[DenseMatrix, CsrMatrix]
-
-# the error raised when single-source relaxation does not stabilize, and the
-# sign of the cycle that keeps improving the paths through it
-_DIVERGENCE = {
-    SemiringId.MINPLUS: (NegativeCycleError, "negative"),
-    SemiringId.MAXPLUS: (PositiveCycleError, "positive"),
-}
 
 
 def _square_size(a: Matrix) -> int:
@@ -66,9 +59,9 @@ def sssp(a: Matrix, source: int, s: SemiringId) -> list[int]:
     d = np.full(n, z, dtype=np.int64)
     d[source] = sr.one(s)
     d, frontier, _ = relax(d, product, s, n)
-    if s in _DIVERGENCE:
+    if s in dense.DIVERGENCE:
         if (frontier != z).any():
-            error, sign = _DIVERGENCE[s]
+            error, sign = dense.DIVERGENCE[s]
             raise error(
                 "single-source paths did not stabilize within n-1 rounds "
                 f"({sign} cycle reachable from the source)"

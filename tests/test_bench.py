@@ -10,6 +10,7 @@ def test_report_fields_and_ops_formula():
     r = run_bench("matmul", 16, SemiringId.MAXPLUS, reps=3)
     assert r.reps == 3 and len(r.elapsed_us) == 3
     assert r.mean_us == pytest.approx(sum(r.elapsed_us) / 3)
+    assert r.median_us == sorted(r.elapsed_us)[1]
     # 2n^3 semiring multiply-adds per product
     assert r.mops == pytest.approx(2 * 16**3 / r.mean_us)
     rv = run_bench("matvec", 16, SemiringId.MINPLUS, reps=2)

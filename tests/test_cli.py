@@ -224,6 +224,20 @@ def test_maxplus_positive_cycle_exit_code(tmp_path, capsys):
         assert "PositiveCycleError" in err
 
 
+def test_maxplus_positive_cycle_closure_exit_code(tmp_path, capsys):
+    # the 2-cycle 0 -> 1 -> 0 weighs 5: no finite longest path exists
+    path = tmp_path / "star.graph"
+    path.write_text("2 2 maxplus\n0 1 2\n1 0 3\n")
+    for command in ("closure", "apsp"):
+        for extra in ([], ["--json"]):
+            code, out, err = invoke(capsys, command, str(path), *extra)
+            assert code == 1
+            assert out == ""
+            assert err == (
+                "error: PositiveCycleError: positive cycle through vertices [0, 1]\n"
+            )
+
+
 @pytest.mark.parametrize("command", ["closure", "apsp", "reach", "bottleneck"])
 def test_sparse_flag_selects_nothing_on_the_closure_commands(capsys, command):
     # every graph fixture, malformed ones included, and a guard refusal: the
@@ -422,6 +436,7 @@ def test_bench_report(capsys):
     assert payload["reps"] == 3
     assert len(payload["elapsed_us"]) == 3
     assert payload["mean_us"] > 0
+    assert payload["median_us"] == round(sorted(payload["elapsed_us"])[1], 3)
     assert payload["mops"] > 0
     code2, payload2, _ = invoke_json(
         capsys, "bench", "--op", "matmul", "--size", "16", "--reps", "1"

@@ -25,15 +25,16 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=N
 
 
 def closure_paths(rows, s):
-    """Check the kernel against the reference at both chunk sizes. Returns
-    the dtype and outcome of every rank-1 sweep and the number of wide plus
-    sweeps of the default run."""
+    """Check the kernel against the reference at both chunk sizes, and that
+    it leaves its operand unchanged. Returns the dtype and outcome of every
+    narrow rank-1 sweep and the number of wide plus sweeps of the default
+    run."""
     a = DenseMatrix(rows)
     want = tr.closure_reference(a, s).to_rows()
     runs = []
     for chunk in (None, 2 * len(rows) + 1):
         sweeps, wide = [], []
-        sweep, plus = dense._sweep, dense._closure_plus
+        sweep, plus = dense._sweep, dense._wide_sweep
 
         def spy_sweep(d, *rest):
             dtype = d.dtype.name
@@ -48,12 +49,13 @@ def closure_paths(rows, s):
         with pytest.MonkeyPatch.context() as mp:
             if chunk:
                 mp.setattr(dense, "_SWEEP_CHUNK", chunk)
-                mp.setattr(dense, "_CLOSURE_CHUNK", chunk)
+                mp.setattr(dense, "_WIDE_CHUNK", chunk)
             mp.setattr(dense, "_sweep", spy_sweep)
-            mp.setattr(dense, "_closure_plus", spy_plus)
+            mp.setattr(dense, "_wide_sweep", spy_plus)
             got = dense._closure_kernel(a, s)
         assert got.dtype.name == "int32"
         assert got.tolist() == want
+        assert a == DenseMatrix(rows)
         runs.append((sweeps, len(wide)))
     return runs[0]
 
@@ -154,7 +156,7 @@ def test_negative_weights_without_divergent_cycles(s, data):
 def test_divergent_cycle_through_the_last_vertex(s, data):
     # a non-divergent graph plus a 2-cycle j -> n-1 -> j of weight -+1: no
     # pass before n - 1 diverges, so the narrow sweep runs n - 1 passes,
-    # stops, and the wide sweep finishes the closure
+    # stops, and the wide sweep finishes the closure from pass n - 1
     n = data.draw(st.integers(2, 10))
     rows = potential_graph(data.draw, n, s)
     sign = 1 if s is SemiringId.MINPLUS else -1
@@ -163,18 +165,25 @@ def test_divergent_cycle_through_the_last_vertex(s, data):
     rows[j][n - 1] = w
     rows[n - 1][j] = -w - sign
     assert closure_paths(rows, s) == ([("int32", False)], 1)
-    # at the default chunk size every pass is one (x) call
-    passes = []
+    # at the default chunk size every int32 pass is one (x) call: count
+    # those made before the wide sweep starts
+    passes, starts = [], []
     mul, add = dense._SWEEP_OPS[s]
+    wide = dense._wide_sweep
 
     def counting_mul(*args, **kw):
         passes.append(1)
         return mul(*args, **kw)
 
+    def spy(w, s, start):
+        starts.append((len(passes), start))
+        return wide(w, s, start)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(dense._SWEEP_OPS, s, (counting_mul, add))
-        assert dense._closure_narrow_plus(DenseMatrix(rows)._arr, s) is None
-    assert len(passes) == n - 1
+        mp.setattr(dense, "_wide_sweep", spy)
+        dense._closure_kernel(DenseMatrix(rows), s)
+    assert starts == [(n - 1, n - 1)]
 
 
 def first_divergent_pass(rows, s):
@@ -198,14 +207,14 @@ def resumed_at(rows, s):
     """Check the kernel against the reference (closure_paths) and return
     the pass at which each wide sweep started."""
     starts = []
-    plus = dense._closure_plus
+    wide = dense._wide_sweep
 
-    def spy(arr, s, start=0, zero=None):
+    def spy(w, s, start):
         starts.append(start)
-        return plus(arr, s, start, zero)
+        return wide(w, s, start)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dense, "_closure_plus", spy)
+        mp.setattr(dense, "_wide_sweep", spy)
         assert closure_paths(rows, s) == ([("int32", False)], 1)
     return starts
 
@@ -247,16 +256,16 @@ def test_inputs_past_the_bound_sweep_wide_from_pass_0():
     rows = chain(18, 15_790_321, SemiringId.MINPLUS)
     rows[17][0] = -(17 * 15_790_321) - 1
     starts = []
-    plus = dense._closure_plus
+    wide = dense._wide_sweep
 
-    def spy(*args):
-        starts.append(args[2:])
-        return plus(*args)
+    def spy(w, s, start):
+        starts.append(start)
+        return wide(w, s, start)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dense, "_closure_plus", spy)
+        mp.setattr(dense, "_wide_sweep", spy)
         assert closure_paths(rows, SemiringId.MINPLUS) == ([], 1)
-    assert starts == [(), ()]
+    assert starts == [0, 0]
 
 
 @pytest.mark.parametrize("s", PLUS)

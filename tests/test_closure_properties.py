@@ -3,7 +3,7 @@
 The sweep takes a rank-1 update for every pass whose diagonal entry is one(s)
 and replays the scalar order only for divergent plus-semiring passes, clips
 only when a finite sum can leave the finite range, holds the plus-semiring
-zero in a wide int64 encoding, and updates plus-semiring rows in chunks. Each
+zero in a wide int64 encoding, and updates rows in chunks. Each
 generator below aims at one of those branches; every case must match
 ``closure_reference`` bit for bit.
 """
@@ -28,16 +28,21 @@ def square(draw, entries):
 
 
 def assert_matches_reference(rows, s):
-    """Check the kernel at its default chunk size and with 2-row chunks, so
-    that the chunked rank-1 update also runs with a ragged last chunk."""
+    """Check the kernel at its default chunk sizes and with 2-row chunks, so
+    that the chunked rank-1 update of every sweep (int32, int16 and int64)
+    also runs with a ragged last chunk, and check that it leaves its operand
+    unchanged."""
     a = DenseMatrix(rows)
     want = tr.closure_reference(a, s).to_rows()
-    for chunk in (tr.dense._CLOSURE_CHUNK, 2 * len(rows) + 1):
+    for chunk in (None, 2 * len(rows) + 1):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(tr.dense, "_CLOSURE_CHUNK", chunk)
+            if chunk:
+                mp.setattr(tr.dense, "_SWEEP_CHUNK", chunk)
+                mp.setattr(tr.dense, "_WIDE_CHUNK", chunk)
             got = tr.dense._closure_kernel(a, s)
         assert got.dtype.name == "int32"
         assert got.tolist() == want
+        assert a == DenseMatrix(rows)
 
 
 @pytest.mark.parametrize("s", ALL)

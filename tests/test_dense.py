@@ -272,6 +272,20 @@ def test_closure_negative_cycle():
     assert exc.value.matrix.get(0, 0) < 0
 
 
+def test_closure_positive_cycle():
+    # the max-plus counterpart: the 2-cycle 0 -> 1 -> 0 weighs 5, so its
+    # longest paths grow without bound; vertex 2 lies on no cycle
+    a = DenseMatrix([[N, 2, N], [3, N, 1], [N, N, N]])
+    for closure in (tr.closure, tr.all_pairs_paths):
+        with pytest.raises(tr.PositiveCycleError) as exc:
+            closure(a, SemiringId.MAXPLUS)
+        assert exc.value.vertices == (0, 1)
+        assert str(exc.value) == "positive cycle through vertices [0, 1]"
+        # the swept matrix is still attached, as the reference sweep gives it
+        assert exc.value.matrix == tr.closure_reference(a, SemiringId.MAXPLUS)
+        assert exc.value.matrix.get(0, 0) > 0
+
+
 def test_transpose():
     assert tr.transpose(DenseMatrix([[1, 2], [3, 4]])).to_rows() == [[1, 3], [2, 4]]
     e = tr.identity(3, SemiringId.MAXPLUS)
