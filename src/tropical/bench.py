@@ -11,7 +11,9 @@ so its MOPS is an edge throughput, not a count of the rounds run; the
 ``eig`` count is Karp's n rounds, each relaxing every edge with one add and
 one max. ``render`` times the --json text of an n x n matrix
 (``io.format_array``), and its MOPS counts the n^2 values rendered per
-microsecond.
+microsecond. ``parse`` times ``io.parse_graph(text, sparse=True)`` on the
+``format_graph`` text of the ``sssp`` graph (``random_graph``), and its MOPS
+counts the edge records read per microsecond.
 
 The closure, matmul and render benchmarks take one of two input kinds:
 ``uniform`` (the default) fills every entry uniformly from [-1000, 1000];
@@ -19,8 +21,9 @@ The closure, matmul and render benchmarks take one of two input kinds:
 (negated for max-plus, 1 for Boolean), the shape of the CLI's closure
 inputs. matmul multiplies two such matrices. Render renders the uniform
 matrix itself, or the closure of the graph. Each report carries a
-CRC-32 of the inputs (``checksum``) and one of the last repetition's result
-(``output_checksum``; for render, that of the rendered text).
+CRC-32 of the inputs (``checksum``; for parse, that of the text) and one of
+the last repetition's result (``output_checksum``; for render, that of the
+rendered text; for parse, that of the CSR arrays).
 """
 
 from __future__ import annotations
@@ -34,13 +37,13 @@ import numpy as np
 
 from . import dense, graph, sparse, spectral, structure
 from .dense import DenseMatrix
-from .io import format_array
+from .io import format_array, format_graph, parse_graph
 from .semiring import NEG_INF, SemiringId
 
-BENCH_OPS = ("matmul", "matvec", "closure", "sssp", "eig", "render")
+BENCH_OPS = ("matmul", "matvec", "closure", "sssp", "eig", "render", "parse")
 BENCH_INPUTS = ("uniform", "graph")
 
-# mean out-degree of the sssp and eig graphs, and of the closure graphs
+# mean out-degree of the sssp, parse and eig graphs, and of the closure graphs
 GRAPH_DEGREE = 8
 CLOSURE_DEGREE = 16
 
@@ -128,7 +131,10 @@ def _crc32(*arrays: np.ndarray) -> int:
 
 def _digest(result) -> int:
     """CRC-32 of a kernel's result: the int32 values of a matrix or a
-    vector, or the text of a cycle mean or a rendering."""
+    vector, the row pointers, column indices and values of a CSR matrix, or
+    the text of a cycle mean or a rendering."""
+    if isinstance(result, sparse.CsrMatrix):
+        return _crc32(result.row_ptr, result.col_idx, result.values)
     if isinstance(result, DenseMatrix):
         result = result._arr
     if isinstance(result, (np.ndarray, list)):
@@ -165,6 +171,12 @@ def run_bench(
         checksum = _crc32(g.row_ptr, g.col_idx, g.values)
         work = lambda: graph.sssp(g, source, s)
         ops = 2 * g.nnz
+    elif op == "parse":
+        g = random_graph(n, s, rng)
+        text = format_graph(g, s)
+        checksum = zlib.crc32(text.encode())
+        work = lambda: parse_graph(text, sparse=True)[0]
+        ops = g.nnz
     elif op == "matmul":
         a = _operand(n, s, rng, kind)
         b = _operand(n, s, rng, kind)

@@ -23,6 +23,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import dense, graph, io as tio, scheduler, semiring as sr, spectral
 from .errors import GraphParseError, TropicalError
 from .semiring import SemiringId
@@ -45,12 +47,14 @@ def _read_file(path: str) -> str:
         raise GraphParseError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
-def _load_graph(path: str, want_sparse: bool, closure_guard: int | None = None):
+def _load_graph(
+    path: str, want_sparse: bool, closure_guard: int | None = None, what: str = "closure"
+):
     """Parse a graph file; with a guard, refuse an oversized header before
-    any matrix storage is built."""
+    any edge is parsed or any matrix storage is built."""
     check = None
     if closure_guard is not None:
-        check = lambda rows, cols: _guard_closure(rows, cols, closure_guard)
+        check = lambda rows, cols: _guard_closure(rows, cols, closure_guard, what)
     return tio.parse_graph(_read_file(path), sparse=want_sparse, check_shape=check)
 
 
@@ -82,6 +86,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
+    def add_guard(c, help_text="largest n accepted for the cubic closure sweep"):
+        c.add_argument(
+            "--closure-guard", type=_non_negative_int, default=DEFAULT_CLOSURE_GUARD,
+            help=help_text,
+        )
+
     def add_graph_cmd(name, help_text, guard=False):
         c = sub.add_parser(name, help=help_text)
         c.add_argument("file", help="graph file")
@@ -90,12 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="accepted and ignored: the command picks its own matrix form",
         )
         if guard:
-            c.add_argument(
-                "--closure-guard",
-                type=_non_negative_int,
-                default=DEFAULT_CLOSURE_GUARD,
-                help="largest n accepted for the cubic closure sweep",
-            )
+            add_guard(c)
         c.add_argument("--json", action="store_true", help="emit JSON instead of text")
         return c
 
@@ -109,6 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("matmul", help="tropical product of two matrix files")
     c.add_argument("file_a")
     c.add_argument("file_b")
+    add_guard(c, "largest row or column count accepted for either operand")
     c.add_argument("--json", action="store_true")
 
     c = sub.add_parser("eig", help="eigenvalue (maximum cycle mean) of a max-plus graph")
@@ -140,10 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--input", choices=BENCH_INPUTS, default="uniform",
         help="closure, matmul and render input: uniform entries or a sparse graph of 16n edges",
     )
-    c.add_argument(
-        "--closure-guard", type=_non_negative_int, default=DEFAULT_CLOSURE_GUARD,
-        help="largest n accepted for the dense benchmarks (matmul, matvec, closure, render)",
-    )
+    add_guard(c, "largest n accepted for the dense benchmarks (matmul, matvec, closure, render)")
     c.add_argument("--json", action="store_true")
     return p
 
@@ -180,14 +183,14 @@ def _cmd_closure(args):
 
 def _cmd_sssp(args):
     m, s = _load_graph(args.file, want_sparse=True)
-    d = graph.sssp(m, args.source, s)
+    d = np.array(graph.sssp(m, args.source, s), dtype=np.int64)
     payload = {"command": "sssp", "semiring": sr.TOKEN_OF[s], "source": args.source}
     return _array_result(args, payload, "distances", d)
 
 
 def _cmd_matmul(args):
-    a, s_a = tio.parse_graph(_read_file(args.file_a))
-    b, s_b = tio.parse_graph(_read_file(args.file_b))
+    a, s_a = _load_graph(args.file_a, False, closure_guard=args.closure_guard, what="matmul")
+    b, s_b = _load_graph(args.file_b, False, closure_guard=args.closure_guard, what="matmul")
     if s_a is not s_b:
         raise ValueError(
             f"operand semirings differ: {sr.TOKEN_OF[s_a]} vs {sr.TOKEN_OF[s_b]}"

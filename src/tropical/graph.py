@@ -7,10 +7,12 @@ x vecmat A, so the result reads "best path value from the source to i".
 
 Dense and CSR ``sssp`` and the scheduler share one relaxation loop over
 arrays, ``relax``; only the per-round product differs: ``dense.vecmat`` with
-A, or ``sparse.spmv`` with A^T, which is built once per call. The input type
-selects the product: the CLI parses sssp input into CSR, so its memory is
-O(n + m), and the dense branch serves a caller that already holds the grid.
-Every solver reads a CSR input through ``sparse.edges``.
+A, or ``sparse.spmv`` with A^T. ``sparse.transpose`` builds A^T once per call
+from one sort of A's entries. The products return lists, which ``relax``
+converts to int64 with the dtype given. The input type selects the product:
+the CLI parses sssp input into CSR, so its memory is O(n + m), and the dense
+branch serves a caller that already holds the grid. Every other solver reads
+a CSR input through ``sparse.edges``.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ def sssp(a: Matrix, source: int, s: SemiringId) -> list[int]:
     if not 0 <= source < n:
         raise ValueError(f"source {source} out of range for {n} vertices")
     if isinstance(a, CsrMatrix):
-        src, dst, w = sparse.edges(a, s)
-        at = sparse._from_coo(n, n, dst, src, w, s)
+        sparse.check_bound(a, s)
+        at = sparse.transpose(a)
         product = lambda x: sparse.spmv(at, x)
     else:
         product = lambda x: dense.vecmat(x, a, s)
@@ -113,13 +115,14 @@ def relax(d: np.ndarray, product, s: SemiringId, rounds: int):
     into d, and every round gives the d that a product of the whole vector
     would. The rounds stop at the first one that changes nothing. Returns d,
     the frontier of the last round (all zero(s) once d is stable) and the
-    number of rounds run.
+    number of rounds run. A product may return a list (``vecmat``, ``spmv``):
+    each round converts it with its dtype given, not found by inspection.
     """
     z = sr.zero(s)
     add = dense.ADD_UFUNC[s]
     frontier = d
     for k in range(1, rounds + 1):
-        nxt = add(d, product(frontier))
+        nxt = add(d, np.asarray(product(frontier), dtype=np.int64))
         changed = nxt != d
         frontier = np.where(changed, nxt, z)
         d = nxt

@@ -18,9 +18,13 @@ the semiring zero. Schedule files::
 
 Task ids must be dense 0..n-1. Every integer field is ASCII ``-?[0-9]+``.
 
-Edge records are read into an (m, 3) int64 array, from which the dense
-matrix (``ufunc.at`` with the semiring addition) or the CSR matrix
-(``from_triplets``) is built. A plain body is checked and converted as byte
+Lines end where ``str.splitlines`` ends them. The header is the first line
+that is neither blank nor a comment; only the lines up to it are split, and
+the rest of the text, from the header's line break on, is the body. Edge
+records are read into an (m, 3) int64 array, from which the dense matrix
+(``ufunc.at`` with the semiring addition) or the CSR matrix
+(``from_triplets``) is built. A plain body (ASCII digits, '-', spaces, tabs
+and '\n', '\r\n' or '\r' line breaks) is checked and converted as byte
 arrays; any other body, and every error, goes through a line-by-line parse
 that names the first bad line.
 """
@@ -78,11 +82,7 @@ def parse_graph(text: str, sparse: bool = False, check_shape=None):
     before any edge is parsed or any matrix storage is built; it refuses a
     shape by raising.
     """
-    lines = text.splitlines()
-    try:
-        lineno, header = next(_tokens(lines))
-    except StopIteration:
-        raise GraphParseError("empty graph file") from None
+    lineno, header, body = _header(text)
     if len(header) == 3:
         rows = cols = _parse_int(header[0], "vertex count", lineno)
         m = _parse_int(header[1], "edge count", lineno)
@@ -108,10 +108,10 @@ def parse_graph(text: str, sparse: bool = False, check_shape=None):
     if check_shape is not None:
         check_shape(rows, cols)
 
-    body = lines[lineno:]
-    edges = _plain_records("\n".join(body), rows, cols)
+    edges = _plain_records(body, rows, cols)
     if edges is None:
-        edges = _parse_lines(body, lineno + 1, rows, cols)
+        # the body's first line is the empty rest of the header line
+        edges = _parse_lines(body.splitlines(), lineno, rows, cols)
     if len(edges) != m:
         raise GraphParseError(f"header declares {m} edges but file has {len(edges)}")
     if sparse:
@@ -124,40 +124,81 @@ def parse_graph(text: str, sparse: bool = False, check_shape=None):
     return DenseMatrix._wrap(arr), s
 
 
+# the line breaks of str.splitlines
+_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+def _header(text: str) -> tuple[int, list[str], str]:
+    """(line number, fields, body) of the first content line of a graph
+    file; the body is the text from that line's break on. Only the lines up
+    to the header are split."""
+    pos = 0
+    lineno = 0
+    while pos < len(text):
+        lineno += 1
+        brk = _BREAK.search(text, pos)
+        end = brk.start() if brk else len(text)
+        line = text[pos:end].strip()
+        if line and not line.startswith("#"):
+            return lineno, line.split(), text[end:]
+        pos = brk.end() if brk else end
+    raise GraphParseError("empty graph file")
+
+
 def _plain_records(body: str, rows: int, cols: int) -> np.ndarray | None:
     """The records of a plain body, checked and converted as byte arrays.
 
-    A body is plain when it holds only ASCII digits, '-', spaces, tabs and
-    newlines, each token is -?[0-9]+ of at most 11 characters, each line is
-    blank or holds three tokens, and each value is in range. For any other
-    body (comments, inf weights, other whitespace, any error) this returns
-    None, and _parse_lines parses the records line by line.
+    ``body`` is the text from the header's line break on. It is plain when
+    it holds only ASCII digits, '-', spaces, tabs and '\n' or '\r' breaks,
+    each token is -?[0-9]+ of at most 11 characters, each line is blank or
+    holds three tokens, and each value is in range. For any other body
+    (comments, inf weights, other whitespace, any error) this returns None,
+    and _parse_lines parses the records line by line.
     """
     if not body.isascii():
         return None
-    b = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
-    digit = (b >= ord("0")) & (b <= ord("9"))
-    minus = b == ord("-")
-    newline = b == ord("\n")
-    gap = newline | (b == ord(" ")) | (b == ord("\t"))
-    if not (digit | minus | gap).all():
+    raw = body.encode("ascii")
+    if b"\r" in raw:
+        # '\r' breaks a line as '\n' does; '\r\n' becomes a break and a blank line
+        raw = raw.replace(b"\r", b"\n")
+    if raw.translate(None, b"0123456789- \t\n"):
         return None
-    opens = ~gap & np.concatenate(([True], gap[:-1]))
-    closes = ~gap & np.concatenate((gap[1:], [True]))
-    # a '-' opens its token and a digit follows it
-    if (minus & ~(opens & np.concatenate((digit[1:], [False])))).any():
-        return None
-    start, end = np.flatnonzero(opens), np.flatnonzero(closes)
-    if not start.size:
+    if raw and raw[-1] >= ord("-"):
+        raw += b"\n"
+    b = np.frombuffer(raw, dtype=np.uint8)
+    # Tab, '\n' and space sort below '-' and the digits. The body starts
+    # with the header's line break and ends in a gap, so a token starts just
+    # after each t[0::2] and ends at each t[1::2].
+    gap = b < ord("-")
+    t = np.flatnonzero(gap[:-1] != gap[1:])
+    if not t.size:
         return np.empty((0, 3), dtype=np.int64)
-    if (end - start > 10).any():
+    if (t[1::2] - t[0::2]).max() > 11:
         return None
-    per_line = np.bincount(np.searchsorted(np.flatnonzero(newline), start))
-    if ((per_line != 0) & (per_line != 3)).any():
+    if b"-" in raw:
+        minus = np.flatnonzero(b == ord("-"))
+        # a '-' opens its token and a digit follows it
+        if (b[minus - 1] >= ord("-")).any() or (b[minus + 1] < ord("0")).any():
+            return None
+    # A token opens its line iff the byte before it is '\n', unless its line
+    # starts with blanks. The gap before such a token ends in a blank and is
+    # longer than one byte; where the first token or a token after a gap
+    # like that follows no '\n', the line breaks before each token are counted.
+    opens = b[t[0::2]] == ord("\n")
+    longer = t[2::2] - t[1:-1:2] > 1
+    if not opens[0] or (longer & ~opens[1:]).any():
+        line = np.searchsorted(np.flatnonzero(b == ord("\n")), t[0::2], side="right")
+        opens = np.diff(line, prepend=0) != 0
+    if opens.size % 3 or not opens[0::3].all() or np.count_nonzero(opens) * 3 != opens.size:
         return None
-    edges = np.fromstring(body, dtype=np.int64, sep=" ").reshape(-1, 3)
+    edges = np.fromstring(raw, dtype=np.int64, sep=" ").reshape(-1, 3)
     u, v, w = edges.T
-    if ((u < 0) | (u >= rows) | (v < 0) | (v >= cols) | (w < NEG_INF) | (w > POS_INF)).any():
+    # unsigned views: a negative index wraps past every bound
+    if (
+        (u.view(np.uint64) >= rows).any()
+        or (v.view(np.uint64) >= cols).any()
+        or ((w - NEG_INF).view(np.uint64) > POS_INF - NEG_INF).any()
+    ):
         return None
     return edges
 

@@ -5,12 +5,16 @@ row_ptr non-decreasing with row_ptr[0] == 0 and row_ptr[rows] == nnz; column
 indices strictly increasing within each row; no stored value ever equals the
 semiring zero (the sparsity pattern is exactly the support).
 
-Every CSR, spmm's blocks included, comes from one coordinate (COO)
-assembly: it sorts the entries by (row, column) key, folds duplicates with
-the semiring addition (``reduceat``), drops zeros and counts rows with
-``bincount``. The reverse direction, ``edges``, is the one edge-list view
-of a dense or CSR matrix for every reader; ``spmv`` reduces over
-``row_ptr`` segments. None of them loops over rows in Python.
+Every CSR but a transpose, spmm's blocks included, comes from one
+coordinate (COO) assembly: it sorts the entries by (row, column) key, folds
+duplicates with the semiring addition (``reduceat``) and drops zeros when
+there are any, and counts rows with ``bincount``. ``transpose`` starts from
+entries that are sorted, unique and non-zero already, so it takes one sort
+of their (column, row) keys and a ``bincount``; ``graph.sssp`` builds its
+A^T that way and keeps ``spmv`` as the round product. The reverse
+direction, ``edges``, is the one edge-list view of a dense or CSR matrix for
+every reader; ``spmv`` reduces over ``row_ptr`` segments. None of them loops
+over rows in Python.
 """
 
 from __future__ import annotations
@@ -106,15 +110,22 @@ def _from_coo(rows: int, cols: int, i, j, v, s: SemiringId) -> CsrMatrix:
         v = (v != 0).astype(_I64)
     key = i * cols + j
     order = np.argsort(key)
-    key, v = key[order], v[order]
-    if v.size:
-        first = np.flatnonzero(np.diff(key, prepend=-1))
-        key, v = key[first], ADD_UFUNC[s].reduceat(v, first)
-    keep = v != sr.zero(s)
-    i, j = np.divmod(key[keep], cols)
+    key = key[order]
+    dup = key[1:] == key[:-1]
+    if dup.any():
+        first = np.flatnonzero(np.concatenate(([True], ~dup)))
+        v = ADD_UFUNC[s].reduceat(v[order], first)
+        order = order[first]
+    else:
+        v = v[order]
+    i, j = i[order], j[order]
+    zero = v == sr.zero(s)
+    if zero.any():
+        keep = ~zero
+        i, j, v = i[keep], j[keep], v[keep]
     row_ptr = np.zeros(rows + 1, dtype=_I64)
     np.cumsum(np.bincount(i, minlength=rows), out=row_ptr[1:])
-    return CsrMatrix(rows, cols, v[keep], j, row_ptr, s)
+    return CsrMatrix(rows, cols, v, j, row_ptr, s)
 
 
 def from_triplets(
@@ -153,13 +164,18 @@ def edges(a: DenseMatrix | CsrMatrix, s: SemiringId):
     that differ from zero(s), or of the stored entries of a CSR matrix bound
     to s; a CSR matrix bound to another semiring is refused."""
     if isinstance(a, CsrMatrix):
-        if a.semiring is not s:
-            raise ValueError(
-                f"matrix is bound to {a.semiring.name.lower()} but {s.name.lower()} requested"
-            )
+        check_bound(a, s)
         return _coo_rows(a), a.col_idx.astype(_I64), a.values.astype(_I64)
     src, dst = np.nonzero(a._arr != sr.zero(s))
     return src, dst, a._arr[src, dst].astype(_I64)
+
+
+def check_bound(a: CsrMatrix, s: SemiringId) -> None:
+    """Refuse a CSR matrix bound to a semiring other than s."""
+    if a.semiring is not s:
+        raise ValueError(
+            f"matrix is bound to {a.semiring.name.lower()} but {s.name.lower()} requested"
+        )
 
 
 def from_dense(a: DenseMatrix, s: SemiringId) -> CsrMatrix:
@@ -175,9 +191,18 @@ def to_dense(a: CsrMatrix) -> DenseMatrix:
 
 
 def transpose(a: CsrMatrix) -> CsrMatrix:
-    """A^T in CSR form (the CSC layout of a)."""
-    src, dst, w = edges(a, a.semiring)
-    return _from_coo(a.cols, a.rows, dst, src, w, a.semiring)
+    """A^T in CSR form (the CSC layout of a).
+
+    A's entries are sorted, unique and non-zero already, so nothing folds
+    or drops: one argsort of their (column, row) keys orders the entries of
+    A^T, and a bincount of the columns gives its row pointers.
+    """
+    row = _coo_rows(a)
+    col = a.col_idx.astype(_I64)
+    order = np.argsort(col * a.rows + row)
+    row_ptr = np.zeros(a.cols + 1, dtype=_I64)
+    np.cumsum(np.bincount(col, minlength=a.cols), out=row_ptr[1:])
+    return CsrMatrix(a.cols, a.rows, a.values[order], row[order], row_ptr, a.semiring)
 
 
 def spmv(a: CsrMatrix, x: Sequence[int]) -> list[int]:

@@ -95,3 +95,15 @@ def test_cli_reports_the_kind_and_the_output_checksum(capsys):
     assert int(fields["checksum"]) == r.checksum
     assert int(fields["output_checksum"]) == r.output_checksum
     assert run(["bench", "--op", "closure", "--size", "4", "--input", "dense"]) == 2
+
+
+@pytest.mark.parametrize("s", ALL)
+def test_parse_reads_back_the_sssp_graph(s):
+    # the parsed CSR is the graph that format_graph wrote; MOPS counts its records
+    g = random_graph(40, s, np.random.default_rng(8))
+    text = tr.format_graph(g, s)
+    r = run_bench("parse", 40, s, reps=2, seed=8)
+    assert r.checksum == zlib.crc32(text.encode())
+    arrays = (g.row_ptr, g.col_idx, g.values)
+    assert r.output_checksum == zlib.crc32(b"".join(a.tobytes() for a in arrays))
+    assert r.mops == pytest.approx(g.nnz / r.mean_us)

@@ -383,6 +383,29 @@ def test_closure_guard_checks_both_dimensions(tmp_path, capsys):
     assert "guard" in err
 
 
+def test_matmul_guard_runs_before_any_edge_is_parsed(tmp_path, capsys):
+    # n = guard + 1: unguarded, each operand would be a 2049 x 2049 int32
+    # grid (16.8 MB); the bad record below the header is never reached
+    big = tmp_path / "big.graph"
+    big.write_text("2049 1 minplus\n0 1 x\n")
+    small = str(FIXTURES / "matmul_a_minplus.graph")
+    for argv in ([str(big), small], [small, str(big)]):
+        tracemalloc.start()
+        try:
+            code, out, err = invoke(capsys, "matmul", *argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert "refusing matmul of a 2049x2049 matrix (guard is 2048" in err
+        assert peak < 2_000_000
+    wide = tmp_path / "wide.graph"
+    wide.write_text("2 5 0 minplus\n")
+    code, _, err = invoke(capsys, "matmul", small, str(wide), "--closure-guard", "4")
+    assert code == 2 and "refusing matmul of a 2x5 matrix (guard is 4;" in err
+    assert invoke(capsys, "matmul", small, small, "--closure-guard", "-1")[0] == 2
+
+
 def test_path_and_spectral_commands_never_build_the_grid(tmp_path, capsys):
     # 3 edges on 4000 vertices: an n x n grid alone would take 64 MB or more
     path = tmp_path / "wide.graph"
@@ -478,6 +501,24 @@ def test_bench_sssp(capsys):
     # max-plus draws negated weights, so its paths exist as well
     code, _, err = invoke(capsys, "bench", "--op", "sssp", "--size", "64", "--reps", "1")
     assert code == 0, err
+
+
+def test_bench_parse(capsys):
+    code, payload, _ = invoke_json(
+        capsys, "bench", "--op", "parse", "--size", "64", "--reps", "2",
+        "--semiring", "minplus",
+    )
+    assert code == 0
+    assert payload["op"] == "parse" and payload["n"] == 64
+    assert len(payload["elapsed_us"]) == 2
+    assert payload["mops"] > 0
+    _, again, _ = invoke_json(
+        capsys, "bench", "--op", "parse", "--size", "64", "--reps", "1",
+        "--semiring", "minplus",
+    )
+    assert (again["checksum"], again["output_checksum"]) == (
+        payload["checksum"], payload["output_checksum"]
+    )
 
 
 def test_text_json_parity(fixtures, capsys):

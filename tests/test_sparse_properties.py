@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tropical as tr
-from tropical import GraphParseError, SemiringId
+from tropical import GraphParseError, SemiringId, sparse
 from tropical.semiring import FINITE_MAX, FINITE_MIN, NEG_INF, POS_INF
 
 ALL = list(SemiringId)
@@ -57,6 +57,34 @@ def test_from_triplets_is_a_scalar_fold(s, data):
     a = tr.from_triplets(rows, cols, entries, s)
     assert tr.to_dense(a).to_rows() == scalar_fold(rows, cols, entries, s)
     assert tr.from_dense(tr.to_dense(a), s) == a
+
+
+def assert_transpose(a):
+    t = sparse.transpose(a)
+    t._validate()
+    assert (t.rows, t.cols, t.semiring) == (a.cols, a.rows, a.semiring)
+    grid = tr.to_dense(a).to_rows()
+    assert tr.to_dense(t).to_rows() == [list(col) for col in zip(*grid)]
+    assert sparse.transpose(t) == a
+
+
+@pytest.mark.parametrize("s", ALL)
+@PROPERTY
+@given(data=st.data())
+def test_transpose_is_the_transposed_grid(s, data):
+    rows, cols = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+    assert_transpose(tr.from_triplets(rows, cols, triplets(data.draw, s, rows, cols), s))
+
+
+@pytest.mark.parametrize("s", ALL)
+def test_transpose_of_empty_rows_and_columns(s):
+    one = tr.one(s)
+    assert_transpose(tr.from_triplets(3, 5, [], s))
+    # rows 0 and 2 and columns 0, 2 and 4 hold nothing
+    a = tr.from_triplets(4, 5, [(3, 1, one), (1, 3, one), (1, 1, one)], s)
+    assert a.nnz == 3
+    assert_transpose(a)
+    assert_transpose(tr.from_triplets(1, 6, [(0, 5, one)], s))
 
 
 @pytest.mark.parametrize("s", ALL)
