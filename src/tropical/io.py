@@ -24,9 +24,10 @@ the rest of the text, from the header's line break on, is the body. Edge
 records are read into an (m, 3) int64 array, from which the dense matrix
 (``ufunc.at`` with the semiring addition) or the CSR matrix
 (``from_triplets``) is built. A plain body (ASCII digits, '-', spaces, tabs
-and '\n', '\r\n' or '\r' line breaks) is checked and converted as byte
-arrays; any other body, and every error, goes through a line-by-line parse
-that names the first bad line.
+and '\n', '\r\n' or '\r' line breaks, each record starting its line and
+its fields one blank apart) is checked and converted as byte arrays; any
+other body, and every error, goes through a line-by-line parse that names
+the first bad line.
 """
 
 from __future__ import annotations
@@ -151,9 +152,10 @@ def _plain_records(body: str, rows: int, cols: int) -> np.ndarray | None:
     ``body`` is the text from the header's line break on. It is plain when
     it holds only ASCII digits, '-', spaces, tabs and '\n' or '\r' breaks,
     each token is -?[0-9]+ of at most 11 characters, each line is blank or
-    holds three tokens, and each value is in range. For any other body
-    (comments, inf weights, other whitespace, any error) this returns None,
-    and _parse_lines parses the records line by line.
+    holds three tokens, the first at the line's start and the others one
+    blank after the token before, and each value is in range. For any other
+    body (comments, inf weights, other or wider whitespace, any error) this
+    returns None, and _parse_lines parses the records line by line.
     """
     if not body.isascii():
         return None
@@ -182,13 +184,12 @@ def _plain_records(body: str, rows: int, cols: int) -> np.ndarray | None:
             return None
     # A token opens its line iff the byte before it is '\n', unless its line
     # starts with blanks. The gap before such a token ends in a blank and is
-    # longer than one byte; where the first token or a token after a gap
-    # like that follows no '\n', the line breaks before each token are counted.
+    # longer than one byte, so a body where the first token or a token after
+    # a gap like that follows no '\n' goes to the line parse.
     opens = b[t[0::2]] == ord("\n")
     longer = t[2::2] - t[1:-1:2] > 1
     if not opens[0] or (longer & ~opens[1:]).any():
-        line = np.searchsorted(np.flatnonzero(b == ord("\n")), t[0::2], side="right")
-        opens = np.diff(line, prepend=0) != 0
+        return None
     if opens.size % 3 or not opens[0::3].all() or np.count_nonzero(opens) * 3 != opens.size:
         return None
     edges = np.fromstring(raw, dtype=np.int64, sep=" ").reshape(-1, 3)

@@ -7,8 +7,8 @@ semiring zero (the sparsity pattern is exactly the support).
 
 Every CSR but a transpose, spmm's blocks included, comes from one
 coordinate (COO) assembly: it sorts the entries by (row, column) key, folds
-duplicates with the semiring addition (``reduceat``) and drops zeros when
-there are any, and counts rows with ``bincount``. ``transpose`` starts from
+duplicates with the semiring addition (``reduceat``), drops zeros when
+there are any and counts rows with ``bincount``. ``transpose`` starts from
 entries that are sorted, unique and non-zero already, so it takes one sort
 of their (column, row) keys and a ``bincount``; ``graph.sssp`` builds its
 A^T that way and keeps ``spmv`` as the round product. The reverse
@@ -110,14 +110,11 @@ def _from_coo(rows: int, cols: int, i, j, v, s: SemiringId) -> CsrMatrix:
         v = (v != 0).astype(_I64)
     key = i * cols + j
     order = np.argsort(key)
-    key = key[order]
-    dup = key[1:] == key[:-1]
-    if dup.any():
-        first = np.flatnonzero(np.concatenate(([True], ~dup)))
-        v = ADD_UFUNC[s].reduceat(v[order], first)
+    v = v[order]
+    if v.size:
+        first = np.flatnonzero(np.diff(key[order], prepend=-1))
+        v = ADD_UFUNC[s].reduceat(v, first)
         order = order[first]
-    else:
-        v = v[order]
     i, j = i[order], j[order]
     zero = v == sr.zero(s)
     if zero.any():

@@ -163,12 +163,16 @@ def test_fixed_cases_equal_the_line_by_line_parse(text):
 
 
 def test_the_plain_path_takes_the_bodies_it_should():
-    # the byte-array check accepts plain bodies whatever their line breaks
-    # and leading blanks, and leaves everything else to the line parse
-    plain = ["0 1 5\n1 2 -3\n", "0 1 5\r\n1 2 -3", "0 1 5\r1 2 -3\r", "  0 1 5\n\t1 2 -3\n"]
+    # the byte-array check accepts plain bodies whatever their line breaks,
+    # and leaves everything else, blank-led lines and wide gaps included,
+    # to the line parse
+    plain = ["0 1 5\n1 2 -3\n", "0 1 5\r\n1 2 -3", "0 1 5\r1 2 -3\r", "0\t1 5 \n\n1 2 -3\t\n"]
     for body in plain:
         assert tio._plain_records("\n" + body, 3, 3).tolist() == [[0, 1, 5], [1, 2, -3]]
-    for body in ["0 1 inf\n", "# c\n0 1 5\n", "0 1 5\x0c", "0 1 1_000\n", "0 1 000000000005\n"]:
+    for body in [
+        "0 1 inf\n", "# c\n0 1 5\n", "0 1 5\x0c", "0 1 1_000\n", "0 1 000000000005\n",
+        "  0 1 5\n", "0 1 5\n\t1 2 -3\n", "0  1 5\n", "0 1\n 5\n",
+    ]:
         assert tio._plain_records("\n" + body, 3, 3) is None
 
 
