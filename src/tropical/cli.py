@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dense, graph, io as tio, scheduler, semiring as sr, spectral
+from . import dense, graph, io as tio, scheduler, semiring as sr, sparse, spectral
 from .errors import GraphParseError, TropicalError
 from .semiring import SemiringId
 
@@ -47,15 +47,14 @@ def _read_file(path: str) -> str:
         raise GraphParseError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
-def _load_graph(
-    path: str, want_sparse: bool, closure_guard: int | None = None, what: str = "closure"
-):
-    """Parse a graph file; with a guard, refuse an oversized header before
-    any edge is parsed or any matrix storage is built."""
+def _load_graph(path: str, closure_guard: int | None = None, what: str = "closure"):
+    """Parse a graph file into (CsrMatrix, SemiringId); with a guard, refuse
+    an oversized header before any edge is parsed or any matrix storage is
+    built. A command that needs the grid lays it out from the CSR."""
     check = None
     if closure_guard is not None:
         check = lambda rows, cols: _guard_closure(rows, cols, closure_guard, what)
-    return tio.parse_graph(_read_file(path), sparse=want_sparse, check_shape=check)
+    return tio.parse_graph(_read_file(path), sparse=True, check_shape=check)
 
 
 def _guard_closure(rows: int, cols: int, guard: int, what: str = "closure") -> None:
@@ -97,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
         c.add_argument("file", help="graph file")
         c.add_argument(
             "--sparse", action="store_true",
-            help="accepted and ignored: the command picks its own matrix form",
+            help="accepted and ignored: every graph command parses into CSR",
         )
         if guard:
             add_guard(c)
@@ -168,7 +167,7 @@ def _array_result(args, payload: dict, key: str, arr):
 
 
 def _cmd_closure(args):
-    m, s = _load_graph(args.file, want_sparse=False, closure_guard=args.closure_guard)
+    m, s = _load_graph(args.file, closure_guard=args.closure_guard)
     if args.command == "reach":
         result, token = graph.reachability(m, s), "boolean"
     elif args.command == "bottleneck":
@@ -182,20 +181,20 @@ def _cmd_closure(args):
 
 
 def _cmd_sssp(args):
-    m, s = _load_graph(args.file, want_sparse=True)
+    m, s = _load_graph(args.file)
     d = np.array(graph.sssp(m, args.source, s), dtype=np.int64)
     payload = {"command": "sssp", "semiring": sr.TOKEN_OF[s], "source": args.source}
     return _array_result(args, payload, "distances", d)
 
 
 def _cmd_matmul(args):
-    a, s_a = _load_graph(args.file_a, False, closure_guard=args.closure_guard, what="matmul")
-    b, s_b = _load_graph(args.file_b, False, closure_guard=args.closure_guard, what="matmul")
+    a, s_a = _load_graph(args.file_a, closure_guard=args.closure_guard, what="matmul")
+    b, s_b = _load_graph(args.file_b, closure_guard=args.closure_guard, what="matmul")
     if s_a is not s_b:
         raise ValueError(
             f"operand semirings differ: {sr.TOKEN_OF[s_a]} vs {sr.TOKEN_OF[s_b]}"
         )
-    c = dense.matmul(a, b, s_a)
+    c = dense.matmul(sparse.to_dense(a), sparse.to_dense(b), s_a)
     payload = {
         "command": "matmul", "semiring": sr.TOKEN_OF[s_a], "rows": c.rows, "cols": c.cols
     }
@@ -204,7 +203,7 @@ def _cmd_matmul(args):
 
 def _maxplus_cycle_mean(args):
     """The max-plus graph of args.file and its maximum cycle mean."""
-    m, s = _load_graph(args.file, want_sparse=True)
+    m, s = _load_graph(args.file)
     if s is not SemiringId.MAXPLUS:
         raise ValueError(f"{args.command} requires a maxplus graph file")
     return m, spectral.max_cycle_mean(m)

@@ -11,8 +11,12 @@ A, or ``sparse.spmv`` with A^T. ``sparse.transpose`` builds A^T once per call
 from one sort of A's entries. The products return lists, which ``relax``
 converts to int64 with the dtype given. The input type selects the product:
 the CLI parses sssp input into CSR, so its memory is O(n + m), and the dense
-branch serves a caller that already holds the grid. Every other solver reads
-a CSR input through ``sparse.edges``.
+branch serves a caller that already holds the grid.
+
+The CLI hands every graph command a CSR matrix. The closures are dense
+sweeps, so ``all_pairs_paths`` and ``reachability`` lay a CSR input out as a
+grid with ``sparse.to_dense``, the one CSR-to-grid layout; the saturation
+check of ``sssp`` reads a CSR input through ``sparse.edges``.
 """
 
 from __future__ import annotations
@@ -133,12 +137,10 @@ def relax(d: np.ndarray, product, s: SemiringId, rounds: int):
 
 def all_pairs_paths(a: Matrix, s: SemiringId) -> DenseMatrix:
     """A*; entry (i, j) is the optimal path value from i to j."""
-    n = _square_size(a)
+    _square_size(a)
     if isinstance(a, CsrMatrix):
-        src, dst, w = sparse.edges(a, s)
-        arr = np.full((n, n), sr.zero(s), dtype=np.int32)
-        arr[src, dst] = w
-        a = DenseMatrix._wrap(arr)
+        sparse.check_bound(a, s)
+        a = sparse.to_dense(a)
     return dense.closure(a, s)
 
 
@@ -147,15 +149,13 @@ def reachability(a: Matrix, s: SemiringId = SemiringId.BOOLEAN) -> DenseMatrix:
 
     A dense entry is an edge iff it differs from zero(s). A CSR matrix
     stores only entries that differ from its own semiring's zero, so its
-    stored pattern is taken as the edge set.
+    stored pattern is taken as the edge set: its grid is read under its own
+    semiring, and s is not used.
     """
-    n = _square_size(a)
+    _square_size(a)
     if isinstance(a, CsrMatrix):
-        src, dst, _ = sparse.edges(a, a.semiring)
-        arr = np.zeros((n, n), dtype=np.int32)
-        arr[src, dst] = 1
-    else:
-        arr = (a._arr != sr.zero(s)).astype(np.int32)
+        a, s = sparse.to_dense(a), a.semiring
+    arr = (a._arr != sr.zero(s)).astype(np.int32)
     return dense.closure(DenseMatrix._wrap(arr), SemiringId.BOOLEAN)
 
 

@@ -21,13 +21,13 @@ Task ids must be dense 0..n-1. Every integer field is ASCII ``-?[0-9]+``.
 Lines end where ``str.splitlines`` ends them. The header is the first line
 that is neither blank nor a comment; only the lines up to it are split, and
 the rest of the text, from the header's line break on, is the body. Edge
-records are read into an (m, 3) int64 array, from which the dense matrix
-(``ufunc.at`` with the semiring addition) or the CSR matrix
-(``from_triplets``) is built. A plain body (ASCII digits, '-', spaces, tabs
-and '\n', '\r\n' or '\r' line breaks, each record starting its line and
-its fields one blank apart) is checked and converted as byte arrays; any
-other body, and every error, goes through a line-by-line parse that names
-the first bad line.
+records are read into an (m, 3) int64 array, which ``from_triplets``, the
+one COO assembly, turns into CSR; a dense result is ``to_dense`` of that
+CSR, so both forms fold, drop and normalize entries by one rule. A plain
+body (ASCII digits, '-', spaces, tabs and '\n', '\r\n' or '\r' line breaks,
+each record starting its line and its fields one blank apart) is checked
+and converted as byte arrays; any other body, and every error, goes through
+a line-by-line parse that names the first bad line.
 """
 
 from __future__ import annotations
@@ -37,11 +37,10 @@ import re
 import numpy as np
 
 from . import semiring as sr
-from .dense import ADD_UFUNC, DenseMatrix
 from .errors import GraphParseError
 from .scheduler import TaskGraph
 from .semiring import NEG_INF, POS_INF, SemiringId
-from .sparse import edges, from_triplets
+from .sparse import edges, from_triplets, to_dense
 
 # the integer grammar of every numeric field: ASCII digits with an optional
 # minus sign (int() alone also takes '+5', '1_000' and non-ASCII digits)
@@ -79,6 +78,9 @@ def _parse_int(tok: str, what: str, lineno: int) -> int:
 def parse_graph(text: str, sparse: bool = False, check_shape=None):
     """Parse a graph file into (DenseMatrix | CsrMatrix, SemiringId).
 
+    The records always assemble into CSR through ``from_triplets``; with
+    ``sparse=False`` the result is ``to_dense`` of that CSR.
+
     ``check_shape(rows, cols)``, when given, runs once the header is read and
     before any edge is parsed or any matrix storage is built; it refuses a
     shape by raising.
@@ -115,14 +117,8 @@ def parse_graph(text: str, sparse: bool = False, check_shape=None):
         edges = _parse_lines(body.splitlines(), lineno, rows, cols)
     if len(edges) != m:
         raise GraphParseError(f"header declares {m} edges but file has {len(edges)}")
-    if sparse:
-        return from_triplets(rows, cols, edges, s), s
-    u, v, w = edges.T
-    if s is SemiringId.BOOLEAN:
-        w = w != 0
-    arr = np.full((rows, cols), sr.zero(s), dtype=np.int32)
-    ADD_UFUNC[s].at(arr, (u, v), w.astype(np.int32))
-    return DenseMatrix._wrap(arr), s
+    csr = from_triplets(rows, cols, edges, s)
+    return (csr if sparse else to_dense(csr)), s
 
 
 # the line breaks of str.splitlines

@@ -224,22 +224,18 @@ def critical_path(g: TaskGraph, result: ScheduleResult | None = None) -> list[in
     if broken.size:
         u, v = g.names[src[broken[0]]], g.names[dst[broken[0]]]
         raise ValueError(f"critical_path: result breaks the constraint {u!r} -> {v!r}")
-    incoming: list[list[_Edge]] = [[] for _ in range(g.n)]
-    for e in g.edges:
-        if not e.feedback:
-            incoming[e.dst].append(e)
+    # the lowest-id tight predecessor of every task; n where there is none
+    tight = start[dst] == start[src] + lag
+    pred = np.full(g.n, g.n, dtype=np.int64)
+    np.minimum.at(pred, dst[tight], src[tight])
     end = min(t for t in range(g.n) if result.completion[t] == result.makespan)
     path = [end]
-    cur = end
-    while True:
-        tight = [
-            e.src
-            for e in incoming[cur]
-            if result.start[cur] == result.start[e.src] + e.lag
-        ]
-        if not tight:
+    for _ in range(g.n):
+        if pred[path[-1]] == g.n:
             break
-        cur = min(tight)
-        path.append(cur)
+        path.append(int(pred[path[-1]]))
+    else:
+        # n hops visit some task twice: a zero-lag cycle added after the solve
+        _check_acyclic(g, src, dst)
     path.reverse()
     return path

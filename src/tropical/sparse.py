@@ -13,7 +13,9 @@ entries that are sorted, unique and non-zero already, so it takes one sort
 of their (column, row) keys and a ``bincount``; ``graph.sssp`` builds its
 A^T that way and keeps ``spmv`` as the round product. The reverse
 direction, ``edges``, is the one edge-list view of a dense or CSR matrix for
-every reader; ``spmv`` reduces over ``row_ptr`` segments. None of them loops
+every reader, and ``to_dense`` the one layout of a CSR as a grid: the dense
+graph parse and the closures take their grids from it. ``spmv`` reduces
+over ``row_ptr`` segments. None of them loops
 over rows in Python.
 """
 

@@ -311,3 +311,52 @@ def test_sssp_sums_through_an_infinite_weight_keep_their_clip(sparse):
     for s, w, limit in ((SemiringId.MAXPLUS, P, FMAX), (SemiringId.MINPLUS, N, FMIN)):
         a = chain_graph([w], s, sparse)
         assert tr.sssp(a, 0, s) == [0, limit]
+
+
+# -- a CSR input to the closures, against its grid --------------------------------
+
+SEMIRINGS = list(SemiringId)
+
+
+def closure_outcome(f, *args):
+    """The closure's matrix, or the type, message, vertices and matrix of
+    the cycle error it raises."""
+    try:
+        return f(*args)
+    except (tr.NegativeCycleError, tr.PositiveCycleError) as exc:
+        return type(exc), str(exc), exc.vertices, exc.matrix
+
+
+def random_csr(rng, s):
+    n = rng.randint(1, 7)
+    edges = []
+    for _ in range(rng.randint(0, 2 * n * n)):
+        if s is SemiringId.BOOLEAN:
+            w = rng.randint(0, 2)
+        else:
+            w = rng.choice([rng.randint(-6, 6), 0, NEG_INF, POS_INF])
+        edges.append((rng.randrange(n), rng.randrange(n), w))
+    return tr.from_triplets(n, n, edges, s)
+
+
+@pytest.mark.parametrize("s", SEMIRINGS)
+def test_a_csr_closure_equals_the_closure_of_its_grid(s):
+    rng = random.Random(SEMIRINGS.index(s) * 101 + 7)
+    raised = 0
+    for _ in range(60):
+        csr = random_csr(rng, s)
+        grid = tr.to_dense(csr)
+        got = closure_outcome(tr.all_pairs_paths, csr, s)
+        assert got == closure_outcome(tr.all_pairs_paths, grid, s)
+        raised += isinstance(got, tuple)
+        assert tr.reachability(csr) == tr.reachability(grid, csr.semiring)
+    # only min-plus and max-plus closures raise, and these seeds make some do
+    assert (raised > 0) == (s in PLUS)
+
+
+def test_all_pairs_paths_refuses_a_csr_of_another_semiring():
+    csr = tr.from_dense(CHAIN3, SemiringId.MINPLUS)
+    with pytest.raises(ValueError, match="bound to minplus but maxplus requested"):
+        tr.all_pairs_paths(csr, SemiringId.MAXPLUS)
+    with pytest.raises(ValueError, match="bound to minplus but maxmin requested"):
+        tr.bottleneck_paths(csr)

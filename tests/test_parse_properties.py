@@ -6,6 +6,11 @@ body as byte arrays; the reference splits the whole text with
 must give the same matrix and semiring, or the same GraphParseError message
 and line number, on dense and CSR output, whatever the line breaks, layout
 and tokens.
+
+The matrix itself is checked against an independent definition: a grid of
+zero(s) into which each record folds with the scalar ``semiring.add``, a
+Boolean weight read as ``w != 0``; the CSR parse equals ``from_triplets`` of
+the records.
 """
 
 from unittest import mock
@@ -15,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import tropical as tr
 from tropical import GraphParseError
-from tropical import io as tio
+from tropical import io as tio, semiring as sr
 
 # every line break of str.splitlines that the tests use, '\n' the most often
 BREAKS = ["\n"] * 6 + ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
@@ -182,3 +187,46 @@ def test_the_header_scan_stops_at_the_header():
     assert (lineno, fields) == (4, ["2", "1", "minplus"])
     assert body == "\x0b0 1 5\n"
     assert body.splitlines()[1:] == text.splitlines()[lineno:]
+
+
+# -- the matrix a parse builds, against a scalar fold of its records --------------
+
+@st.composite
+def record_files(draw):
+    """(text, rows, cols, semiring, records) of a graph file with duplicate
+    pairs, inf/-inf, weights equal to zero(s) and, under Boolean, weights
+    outside {0, 1}."""
+    s = tr.parse_semiring(draw(st.sampled_from(SEMIRINGS)))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if s is tr.SemiringId.BOOLEAN:
+        weight = st.integers(-3, 3)
+    else:
+        weight = st.one_of(
+            st.integers(-5, 5), st.sampled_from([sr.zero(s), sr.NEG_INF, sr.POS_INF])
+        )
+    pair = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    pairs = draw(st.lists(pair, max_size=6))
+    # a pair drawn again folds with the first
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
+    records = [(u, v, draw(weight)) for u, v in pairs]
+    square = rows == cols and draw(st.booleans())
+    shape = f"{rows}" if square else f"{rows} {cols}"
+    token = {sr.NEG_INF: "-inf", sr.POS_INF: "inf"}
+    lines = [f"{shape} {len(records)} {sr.TOKEN_OF[s]}"]
+    lines += [f"{u} {v} {token.get(w, w)}" for u, v, w in records]
+    return "\n".join(lines) + "\n", rows, cols, s, records
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=record_files())
+def test_parse_graph_equals_a_scalar_fold_of_the_records(case):
+    text, rows, cols, s, records = case
+    grid = [[sr.zero(s)] * cols for _ in range(rows)]
+    for u, v, w in records:
+        if s is tr.SemiringId.BOOLEAN:
+            w = int(w != 0)
+        grid[u][v] = sr.add(grid[u][v], w, s)
+    m, got = tr.parse_graph(text)
+    assert got is s
+    assert m.to_rows() == grid
+    assert tr.parse_graph(text, sparse=True) == (tr.from_triplets(rows, cols, records, s), s)

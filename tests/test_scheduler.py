@@ -1,5 +1,6 @@
 import math
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -376,6 +377,31 @@ def test_critical_path_walks_a_result_that_meets_a_later_slack_constraint():
     r = tr.solve(g)
     g.add_constraint(b, c, 3)
     assert tr.critical_path(g, r) == tr.critical_path(g, tr.solve(g)) == [0, 2]
+
+
+def _timed_out(signum, frame):
+    raise TimeoutError("critical_path did not return within 5 s")
+
+
+def test_critical_path_refuses_a_zero_lag_cycle_added_after_the_solve():
+    # the result meets both constraints, so only the walk can find the cycle;
+    # the alarm turns a walk that never ends into a failure, not a hang
+    g = TaskGraph()
+    a, b = g.add_task("a", 0), g.add_task("b", 0)
+    g.add_constraint(a, b, 0)
+    r = tr.solve(g)
+    g.add_constraint(b, a, 0)
+    previous = signal.signal(signal.SIGALRM, _timed_out)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        with pytest.raises(tr.CycleInAcyclicGraphError) as walk:
+            tr.critical_path(g, r)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(tr.CycleInAcyclicGraphError) as solve:
+        tr.solve(g)
+    assert walk.value.vertices == solve.value.vertices == (0, 1)
 
 
 def test_a_refused_change_keeps_the_solve():
