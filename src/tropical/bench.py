@@ -17,15 +17,20 @@ their duplicate (u, v) pairs kept, so the parse folds them as it does for a
 generated input file; its MOPS counts the edge records read per
 microsecond.
 
-The closure, matmul and render benchmarks take one of two input kinds:
+The closure, matmul and render benchmarks take one of three input kinds:
 ``uniform`` (the default) fills every entry uniformly from [-1000, 1000];
 ``graph`` draws a sparse graph of 16n edges with weights in [1, 1000]
 (negated for max-plus, 1 for Boolean), the shape of the CLI's closure
-inputs. matmul multiplies two such matrices. Render renders the uniform
-matrix itself, or the closure of the graph. Each report carries a
-CRC-32 of the inputs (``checksum``; for parse, that of the text) and one of
-the last repetition's result (``output_checksum``; for render, that of the
-rendered text; for parse, that of the CSR arrays).
+inputs; ``convergent`` fills every entry uniformly from [1, 1000] (negated
+for max-plus), a dense graph with no cycle that improves on 0, so that its
+min-plus and max-plus closures are ones ``closure()`` returns (those of
+``uniform`` inputs diverge). matmul multiplies two such matrices. Render
+renders the uniform or convergent matrix itself, or the closure of the
+graph. Each report carries a CRC-32 of the inputs (``checksum``; for parse,
+that of the text) and one of the last repetition's result
+(``output_checksum``; for render, that of the rendered text; for parse,
+that of the CSR arrays), and the number of worker threads the closure
+sweeps may use (``workers``).
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from .io import format_array, parse_graph
 from .semiring import NEG_INF, TOKEN_OF, SemiringId
 
 BENCH_OPS = ("matmul", "matvec", "closure", "sssp", "eig", "render", "parse")
-BENCH_INPUTS = ("uniform", "graph")
+BENCH_INPUTS = ("uniform", "graph", "convergent")
 
 # mean out-degree of the sssp, parse and eig graphs, and of the closure graphs
 GRAPH_DEGREE = 8
@@ -71,6 +76,7 @@ class BenchReport:
     checksum: int
     kind: str
     output_checksum: int
+    workers: int
 
 
 def random_matrix(n: int, rng: np.random.Generator) -> DenseMatrix:
@@ -118,10 +124,20 @@ def graph_text(n: int, s: SemiringId, u, v, w) -> str:
     return "\n".join(lines) + "\n"
 
 
+def convergent_matrix(n: int, s: SemiringId, rng: np.random.Generator) -> DenseMatrix:
+    """Dense n x n matrix with entries uniform in [1, 1000], negated for
+    max-plus: every cycle is positive (negative under max-plus), so the
+    closure converges."""
+    arr = rng.integers(1, _ENTRY_HI + 1, size=(n, n), dtype=np.int32)
+    return DenseMatrix._wrap(-arr if s is SemiringId.MAXPLUS else arr)
+
+
 def _operand(n: int, s: SemiringId, rng: np.random.Generator, kind: str) -> DenseMatrix:
     """Dense n x n operand of the given input kind."""
     if kind == "graph":
         return sparse.to_dense(random_graph(n, s, rng, CLOSURE_DEGREE))
+    if kind == "convergent":
+        return convergent_matrix(n, s, rng)
     return random_matrix(n, rng)
 
 
@@ -164,9 +180,9 @@ def run_bench(
         raise ValueError(f"unknown benchmark operation {op!r}")
     if kind not in BENCH_INPUTS:
         raise ValueError(f"unknown benchmark input kind {kind!r}")
-    if kind == "graph" and op not in ("closure", "matmul", "render"):
+    if kind != "uniform" and op not in ("closure", "matmul", "render"):
         raise ValueError(
-            "the graph input kind applies to the closure, matmul and render benchmarks only"
+            f"the {kind} input kind applies to the closure, matmul and render benchmarks only"
         )
     if n < 1:
         raise ValueError("size must be >= 1")
@@ -237,4 +253,5 @@ def run_bench(
         checksum=checksum,
         kind=kind,
         output_checksum=_digest(result),
+        workers=dense._WORKERS,
     )

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dense, graph, io as tio, scheduler, semiring as sr, sparse, spectral
-from .errors import GraphParseError, TropicalError
+from .errors import GraphParseError, NoCycleError, TropicalError
 from .semiring import SemiringId
 
 DEFAULT_CLOSURE_GUARD = 2048
@@ -143,7 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--seed", type=int, default=0)
     c.add_argument(
         "--input", choices=BENCH_INPUTS, default="uniform",
-        help="closure, matmul and render input: uniform entries or a sparse graph of 16n edges",
+        help="closure, matmul and render input: uniform entries, a sparse graph of 16n edges,"
+        " or entries in [1, 1000] (negated for maxplus) whose closure converges",
     )
     add_guard(c, "largest n accepted for the dense benchmarks (matmul, matvec, closure, render)")
     c.add_argument("--json", action="store_true")
@@ -234,7 +235,7 @@ def _cmd_eig(args):
 def _cmd_eigvec(args):
     m, lam = _maxplus_cycle_mean(args)
     if lam is None:
-        raise TropicalError("NoCycle: graph has no cycle, eigenvector undefined")
+        raise NoCycleError("graph has no cycle, eigenvector undefined")
     res = spectral.eigenvector(m, lam, epsilon=args.eps, max_iter=args.max_iter)
     residual = "inf" if res.residual == float("inf") else round(res.residual, 9)
     payload = {
@@ -318,6 +319,7 @@ def _cmd_bench(args):
         "checksum": report.checksum,
         "input": report.kind,
         "output_checksum": report.output_checksum,
+        "workers": report.workers,
     }
     # one "key value" line per field, a list as its space-separated items
     lines = [

@@ -7,7 +7,9 @@ their own. Two implementations exist for the heavy kernels:
   sweep share one wide encoding of min-plus and max-plus: int64, with the
   zero held as +-2^61 and decoded (entries beyond +-2^60 to the zero, the
   rest clipped to the finite range) once per result. The closure first tries
-  narrower encodings (int32, int16 order codes) where they are exact; and
+  narrower encodings (int32, int16 order codes) where they are exact, and
+  runs a narrow sweep of a few hundred rows or more on every CPU the
+  process may use, bit-identical to one thread; and
 * ``*_reference`` scalar kernels (plain Python triple loops over the scalar
   semiring operations).
 
@@ -18,6 +20,8 @@ matrices; the test suite enforces this.
 
 from __future__ import annotations
 
+import os
+import threading
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -365,6 +369,14 @@ def _closure_kernel(a: DenseMatrix, s: SemiringId) -> np.ndarray:
       the codes are decoded after the sweep. Wider spans sweep on int32.
     * Boolean runs on bool when every entry is 0 or 1, else bitwise on int32
       (& and | do not commute with a recoding).
+
+    The int32 sweep of at least 288 rows and the int16 one of at least 576
+    run on every CPU the process may use (``_sweep``): each block of pivots
+    first on its own rows, then on the other rows in worker threads. Every
+    row still takes its passes in order, each from itself and the pivot row
+    as that pass found it, so the result, and the state handed to
+    ``_wide_sweep``, are those of one thread bit for bit. The bool sweep,
+    the wide sweep and ``matmul`` stay on one thread.
     """
     if a.rows != a.cols:
         raise ValueError("closure requires a square matrix")
@@ -407,21 +419,120 @@ def _rank1(block, col, row, s: SemiringId, step: int, buf, clip=False) -> None:
         add(part, out, out=part)
 
 
+# Threaded sweeps (see _sweep): an int32 sweep of at least 288 rows, or an
+# int16 one of at least 576, runs on _WORKERS threads, the CPUs this process
+# may run on, in blocks of _BLOCK pivots. The floors are where two workers
+# on a 2-vCPU host started to win inside a CLI request (median of `apsp`,
+# int32, or `bottleneck`, int16, on a graph of 16n edges, each request after
+# a `reach`): int32 n = 256 9.6 -> 10.3 ms, n = 288 13.1 -> 12.6, n = 320
+# 17.5 -> 15.7; int16 n = 448 19.4 -> 20.4, n = 512 27.5 -> 27.9, n = 576
+# 41.5 -> 34.8. Shorter passes lose more to GIL hand-offs than they gain.
+# Back to back, n = 1024 took 528 -> 265 ms (int32) and 188 -> 97 ms
+# (int16). Blocks of 8, 32 and 64 pivots were no faster than 16. The pool
+# is made at the first threaded sweep, so an import starts no thread.
+_WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+_THREAD_FLOOR = {"int32": 288, "int16": 576}
+_BLOCK = 16
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _pool():
+    """The sweep's worker threads, made at the first call."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _POOL = ThreadPoolExecutor(max(1, _WORKERS - 1), "tropical-sweep")
+    return _POOL
+
+
+def _forget_pool() -> None:
+    """A forked child has none of its parent's threads: it makes its own pool."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
 def _sweep(d: np.ndarray, s: SemiringId, one: int) -> bool:
     """The narrow closure loop, in place on an encoded array whose one(s) is
     ``one``: the diagonal step, then D <- D (+) D[:, k] (x) D[k, :] for
     every k. Returns False, leaving d partly swept, at the first plus-
-    semiring pass whose D_kk is not ``one`` (a divergent pass)."""
+    semiring pass whose D_kk is not ``one`` (a divergent pass).
+
+    A sweep of at least _THREAD_FLOOR[dtype] rows on more than one worker
+    runs the passes in blocks of _BLOCK pivots k0..k1-1: first the block's
+    passes on its pivot rows alone, keeping a copy of row k as pass k left
+    it, then passes k0..stop-1 on every other row, one fixed contiguous
+    range of rows per worker (``_passes``). Pass k updates row i from row i
+    itself and row k as it stood at pass k, so every row takes the serial
+    loop's updates in the serial order with the same operands, and a
+    divergent pass leaves the serial loop's state. Otherwise the block is
+    all n rows: the serial loop.
+    """
     plus = s in _WIDE_ZERO
     n = d.shape[0]
     d[np.diag_indices(n)] = ADD_UFUNC[s](np.diagonal(d), one)
     step = max(1, _SWEEP_CHUNK // n)
     buf = np.empty(min(n, step) * n, dtype=d.dtype)
-    for k in range(n):
-        if plus and d[k, k] != one:
+    floor = _THREAD_FLOOR.get(d.dtype.name)
+    threaded = _WORKERS > 1 and floor is not None and n >= floor
+    size = _BLOCK if threaded else n
+    if threaded:
+        piv = np.empty((size, n), dtype=d.dtype)
+        bounds = [n * w // _WORKERS for w in range(_WORKERS + 1)]
+        ranges = list(zip(bounds, bounds[1:]))
+        bufs = [buf] + [np.empty(min(hi - lo, step) * n, dtype=d.dtype) for lo, hi in ranges[1:]]
+    for k0 in range(0, n, size):
+        k1 = stop = min(k0 + size, n)
+        block = d[k0:k1]
+        for k in range(k0, k1):
+            if plus and d[k, k] != one:
+                stop = k
+                break
+            _rank1(block, block[:, k], d[k], s, step, buf)
+            if threaded:
+                piv[k - k0] = d[k]
+        if threaded and stop > k0:
+            # each worker's rows outside the block
+            parts = [
+                [d[a:b] for a, b in ((lo, min(hi, k0)), (max(lo, k1), hi)) if a < b]
+                for lo, hi in ranges
+            ]
+            pool = _pool()
+            futures = [
+                pool.submit(_passes, rows, k0, stop, piv, s, step, b)
+                for rows, b in zip(parts[1:], bufs[1:])
+                if rows
+            ]
+            try:
+                _passes(parts[0], k0, stop, piv, s, step, buf)
+            finally:
+                for f in futures:
+                    f.result()
+        if stop < k1:
             return False
-        _rank1(d, d[:, k], d[k], s, step, buf)
     return True
+
+
+def _passes(parts, k0: int, k1: int, piv, s: SemiringId, step: int, buf) -> None:
+    """Passes k0..k1-1 on each row block in parts, from row k as pass k
+    found it, held in piv[k - k0]: ``step`` rows at a time through buf, each
+    chunk taking all the passes while it stays in cache."""
+    mul, add = _SWEEP_OPS[s]
+    for rows in parts:
+        for i0 in range(0, rows.shape[0], step):
+            part = rows[i0 : i0 + step]
+            out = buf[: part.size].reshape(part.shape)
+            for k in range(k0, k1):
+                mul(part[:, k, None], piv[k - k0], out=out)
+                add(part, out, out=part)
 
 
 # Narrow int32 plus-semiring sweep: the zero is held as +-_NARROW_ZERO, and

@@ -8,7 +8,14 @@ import pytest
 import tropical as tr
 from tropical import SemiringId, sparse
 from tropical.bench import (
-    BENCH_INPUTS, CLOSURE_DEGREE, graph_edges, graph_text, random_graph, random_matrix, run_bench
+    BENCH_INPUTS,
+    CLOSURE_DEGREE,
+    convergent_matrix,
+    graph_edges,
+    graph_text,
+    random_graph,
+    random_matrix,
+    run_bench,
 )
 from tropical.cli import run
 
@@ -38,6 +45,8 @@ def test_output_checksum_is_the_crc_of_the_reference_closure(s):
         rng = np.random.default_rng(6)
         if kind == "graph":
             a = sparse.to_dense(random_graph(20, s, rng, CLOSURE_DEGREE))
+        elif kind == "convergent":
+            a = convergent_matrix(20, s, rng)
         else:
             a = random_matrix(20, rng)
         r = run_bench("closure", 20, s, reps=1, seed=6, kind=kind)
@@ -58,6 +67,26 @@ def test_graph_kind_is_shaped_like_the_cli_inputs():
             assert -1000 <= w.min() and w.max() <= -1
         else:
             assert 1 <= w.min() and w.max() <= 1000
+
+
+def test_convergent_kind_is_a_dense_graph_whose_closure_converges():
+    # every entry in [1, 1000], negated for max-plus: closure() returns the
+    # min-plus and max-plus closures that it refuses for uniform inputs
+    for s in ALL:
+        a = convergent_matrix(48, s, np.random.default_rng(2))
+        w = np.asarray(a.to_rows())
+        sign = -1 if s is SemiringId.MAXPLUS else 1
+        assert 1 <= (sign * w).min() and (sign * w).max() <= 1000
+        r = run_bench("closure", 48, s, reps=1, seed=2, kind="convergent")
+        assert r.checksum == crc(a.to_rows())
+        assert r.output_checksum == crc(tr.closure(a, s).to_rows())
+    uniform = random_matrix(48, np.random.default_rng(2))
+    for s in (SemiringId.MINPLUS, SemiringId.MAXPLUS):
+        with pytest.raises((tr.NegativeCycleError, tr.PositiveCycleError)):
+            tr.closure(uniform, s)
+    for op in ("matvec", "sssp"):
+        with pytest.raises(ValueError, match="the convergent input kind applies to the closure"):
+            run_bench(op, 8, SemiringId.MINPLUS, reps=1, kind="convergent")
 
 
 def test_uniform_checksums_are_unchanged():
@@ -96,6 +125,7 @@ def test_cli_reports_the_kind_and_the_output_checksum(capsys):
     assert fields["input"] == "graph"
     assert int(fields["checksum"]) == r.checksum
     assert int(fields["output_checksum"]) == r.output_checksum
+    assert int(fields["workers"]) == r.workers == tr.dense._WORKERS
     assert run(["bench", "--op", "closure", "--size", "4", "--input", "dense"]) == 2
 
 

@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 from conftest import FIXTURES
 
+from tropical import dense
 from tropical.cli import run
 
 
@@ -137,6 +138,15 @@ def test_eigvec_refuses_an_eps_that_is_not_finite_and_positive(tmp_path, capsys,
     code, out, err = invoke(capsys, "eigvec", str(path), "--eps", eps)
     assert code == 1 and out == ""
     assert "epsilon must be positive" in err
+
+
+@pytest.mark.parametrize("mode", [(), ("--json",)])
+def test_eigvec_of_an_acyclic_graph_is_a_no_cycle_error(tmp_path, capsys, mode):
+    path = tmp_path / "acyclic.graph"
+    path.write_text("3 2 maxplus\n0 1 2\n1 2 3\n")
+    code, out, err = invoke(capsys, "eigvec", str(path), *mode)
+    assert (code, out) == (1, "")
+    assert err == "error: NoCycleError: graph has no cycle, eigenvector undefined\n"
 
 
 def test_schedule_production(fixtures, capsys):
@@ -461,6 +471,7 @@ def test_bench_report(capsys):
     assert payload["mean_us"] > 0
     assert payload["median_us"] == round(sorted(payload["elapsed_us"])[1], 3)
     assert payload["mops"] > 0
+    assert payload["workers"] == dense._WORKERS >= 1
     code2, payload2, _ = invoke_json(
         capsys, "bench", "--op", "matmul", "--size", "16", "--reps", "1"
     )

@@ -4,9 +4,11 @@ Min-plus / max-plus run on int32 when (n - 1) * B <= 2^28, B the largest
 |v| over the entries that differ from zero(s), and fall back to the wide
 int64 sweep when that bound fails or a pass diverges. Max-min / min-max run
 on int16 order codes when the finite values span at most 65,533. Each case
-is checked against ``closure_reference`` bit for bit, at the default chunk
-sizes and with 2-row chunks, and the tests also check which path ran: a
-path that is taken too rarely is as much a defect here as a wrong value.
+is checked against ``closure_reference`` bit for bit, at the default
+constants, with 2-row chunks and in blocks on worker threads
+(``sweep_runs``), and the tests also check which path ran, the same in every
+run: a path that is taken too rarely is as much a defect here as a wrong
+value.
 """
 
 import pytest
@@ -15,6 +17,8 @@ from hypothesis import given, settings, strategies as st
 import tropical as tr
 from tropical import DenseMatrix, SemiringId, dense, semiring as sr
 from tropical.semiring import FINITE_MAX, FINITE_MIN, NEG_INF, POS_INF
+
+from sweep_runs import RUNS, sweep_run
 
 PLUS = (SemiringId.MINPLUS, SemiringId.MAXPLUS)
 ORDER = (SemiringId.MAXMIN, SemiringId.MINMAX)
@@ -25,14 +29,15 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=N
 
 
 def closure_paths(rows, s):
-    """Check the kernel against the reference at both chunk sizes, and that
-    it leaves its operand unchanged. Returns the dtype and outcome of every
-    narrow rank-1 sweep and the number of wide plus sweeps of the default
-    run."""
+    """Check the kernel against the reference under every setting of
+    ``sweep_runs.RUNS`` (default, 2-row chunks, blocks on 2 and 3 worker
+    threads), and that it leaves its operand unchanged. Returns the dtype
+    and outcome of every narrow rank-1 sweep and the number of wide plus
+    sweeps, which every run must share."""
     a = DenseMatrix(rows)
     want = tr.closure_reference(a, s).to_rows()
     runs = []
-    for chunk in (None, 2 * len(rows) + 1):
+    for run in RUNS:
         sweeps, wide = [], []
         sweep, plus = dense._sweep, dense._wide_sweep
 
@@ -46,10 +51,7 @@ def closure_paths(rows, s):
             wide.append(1)
             return plus(*args)
 
-        with pytest.MonkeyPatch.context() as mp:
-            if chunk:
-                mp.setattr(dense, "_SWEEP_CHUNK", chunk)
-                mp.setattr(dense, "_WIDE_CHUNK", chunk)
+        with sweep_run(run, len(rows)) as mp:
             mp.setattr(dense, "_sweep", spy_sweep)
             mp.setattr(dense, "_wide_sweep", spy_plus)
             got = dense._closure_kernel(a, s)
@@ -57,6 +59,7 @@ def closure_paths(rows, s):
         assert got.tolist() == want
         assert a == DenseMatrix(rows)
         runs.append((sweeps, len(wide)))
+    assert all(r == runs[0] for r in runs)
     return runs[0]
 
 
@@ -236,8 +239,8 @@ def test_the_wide_sweep_resumes_at_the_divergent_pass(s, data):
         rows[j][i] = -w - sign * data.draw(st.integers(1, 5))
     k = first_divergent_pass(rows, s)
     assert k is not None
-    # the default run and the 2-row-chunk run
-    assert resumed_at(rows, s) == [k, k]
+    # one start per run
+    assert resumed_at(rows, s) == [k] * len(RUNS)
 
 
 @pytest.mark.parametrize("s", PLUS)
@@ -249,7 +252,7 @@ def test_a_divergent_2_cycle_through_the_last_vertex_resumes_at_n_minus_1(s, n):
     rows[0][n - 1] = 7
     rows[n - 1][0] = -7 - sign
     assert first_divergent_pass(rows, s) == n - 1
-    assert resumed_at(rows, s) == [n - 1, n - 1]
+    assert resumed_at(rows, s) == [n - 1] * len(RUNS)
 
 
 def test_inputs_past_the_bound_sweep_wide_from_pass_0():
@@ -265,7 +268,7 @@ def test_inputs_past_the_bound_sweep_wide_from_pass_0():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dense, "_wide_sweep", spy)
         assert closure_paths(rows, SemiringId.MINPLUS) == ([], 1)
-    assert starts == [0, 0]
+    assert starts == [0] * len(RUNS)
 
 
 @pytest.mark.parametrize("s", PLUS)

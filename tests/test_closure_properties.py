@@ -15,6 +15,8 @@ import tropical as tr
 from tropical import DenseMatrix, SemiringId
 from tropical.semiring import FINITE_MAX, FINITE_MIN, NEG_INF, POS_INF
 
+from sweep_runs import RUNS, sweep_run
+
 ALL = list(SemiringId)
 PLUS = (SemiringId.MINPLUS, SemiringId.MAXPLUS)
 P, N = POS_INF, NEG_INF
@@ -28,17 +30,15 @@ def square(draw, entries):
 
 
 def assert_matches_reference(rows, s):
-    """Check the kernel at its default chunk sizes and with 2-row chunks, so
-    that the chunked rank-1 update of every sweep (int32, int16 and int64)
-    also runs with a ragged last chunk, and check that it leaves its operand
-    unchanged."""
+    """Check the kernel under every setting of ``sweep_runs.RUNS``: its
+    default constants; 2-row chunks, so that the chunked rank-1 update of
+    every sweep (int32, int16 and int64) also runs with a ragged last chunk;
+    and the blocked sweep on 2 and 3 worker threads. Check too that it leaves
+    its operand unchanged."""
     a = DenseMatrix(rows)
     want = tr.closure_reference(a, s).to_rows()
-    for chunk in (None, 2 * len(rows) + 1):
-        with pytest.MonkeyPatch.context() as mp:
-            if chunk:
-                mp.setattr(tr.dense, "_SWEEP_CHUNK", chunk)
-                mp.setattr(tr.dense, "_WIDE_CHUNK", chunk)
+    for run in RUNS:
+        with sweep_run(run, len(rows)):
             got = tr.dense._closure_kernel(a, s)
         assert got.dtype.name == "int32"
         assert got.tolist() == want
@@ -86,7 +86,7 @@ def test_divergent_and_rank1_passes_alternate_fixed(s, monkeypatch):
 
     monkeypatch.setattr(tr.dense, "_staged_pass", spy)
     assert_matches_reference(rows, s)
-    assert staged == [0, 2] * 2  # once per chunk size
+    assert staged == [0, 2] * len(RUNS)  # once per run
 
 
 @pytest.mark.parametrize("s", PLUS)
