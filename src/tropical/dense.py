@@ -9,7 +9,9 @@ their own. Two implementations exist for the heavy kernels:
   rest clipped to the finite range) once per result. The closure first tries
   narrower encodings (int32, int16 order codes) where they are exact, and
   runs a narrow sweep of a few hundred rows or more on every CPU the
-  process may use, bit-identical to one thread; and
+  process may use, bit-identical to one thread. The 0/1 Boolean closure
+  runs no sweep: it is ``structure.reach`` on the edge list, by condensation
+  of the strongly connected components into packed bit rows; and
 * ``*_reference`` scalar kernels (plain Python triple loops over the scalar
   semiring operations).
 
@@ -27,7 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import semiring as sr
+from . import semiring as sr, structure
 from .errors import NegativeCycleError, PositiveCycleError
 from .semiring import SemiringId
 
@@ -332,7 +334,7 @@ def closure(a: DenseMatrix, s: SemiringId) -> DenseMatrix:
 
 
 def _closure_kernel(a: DenseMatrix, s: SemiringId) -> np.ndarray:
-    """Vectorized sweep, bit-identical to the scalar i-then-j loop.
+    """Vectorized closure, bit-identical to the scalar i-then-j loop.
 
     After the diagonal step, pass k of the scalar loop mutates row k and
     column k while still reading them. When D_kk == one(s) the rewrites are
@@ -340,9 +342,9 @@ def _closure_kernel(a: DenseMatrix, s: SemiringId) -> np.ndarray:
     rank-1 update D <- D (+) D[:, k] (x) D[k, :] read from the pass-start
     values. The lattice semirings (maxmin, minmax, boolean) always satisfy
     this: absorption, x (+) (x (x) y) == x, keeps row and column k fixed
-    whatever D_kk is. Each closure runs on the narrowest dtype that is exact
-    for its input, and every chunked update of every sweep but the 0/1
-    Boolean one goes through one helper, ``_rank1``:
+    whatever D_kk is. Each sweep runs on the narrowest dtype that is exact
+    for its input, and every chunked update of every sweep goes through one
+    helper, ``_rank1``:
 
     * Min-plus / max-plus (``_closure_plus``) run on int32 when
       (n - 1) * B <= 2^28, where B is the largest |v| over the entries that
@@ -367,16 +369,19 @@ def _closure_kernel(a: DenseMatrix, s: SemiringId) -> np.ndarray:
       _CODE_SPAN, they are shifted around their midpoint into int16 codes
       [-32767, 32766], NEG_INF / POS_INF are clipped to -32768 / 32767, and
       the codes are decoded after the sweep. Wider spans sweep on int32.
-    * Boolean runs on bool when every entry is 0 or 1, else bitwise on int32
-      (& and | do not commute with a recoding).
+    * Boolean with every entry 0 or 1 is reachability, the reflexive-
+      transitive closure of the edges (i, j) with A_ij == 1, which the
+      scalar loop computes: no sweep runs, and ``structure.reach`` takes
+      the edges from the nonzero entries. Other Boolean input sweeps
+      bitwise on int32 (& and | do not commute with a recoding).
 
     The int32 sweep of at least 288 rows and the int16 one of at least 576
     run on every CPU the process may use (``_sweep``): each block of pivots
     first on its own rows, then on the other rows in worker threads. Every
     row still takes its passes in order, each from itself and the pivot row
     as that pass found it, so the result, and the state handed to
-    ``_wide_sweep``, are those of one thread bit for bit. The bool sweep,
-    the wide sweep and ``matmul`` stay on one thread.
+    ``_wide_sweep``, are those of one thread bit for bit. The wide sweep and
+    ``matmul`` stay on one thread.
     """
     if a.rows != a.cols:
         raise ValueError("closure requires a square matrix")
@@ -384,7 +389,8 @@ def _closure_kernel(a: DenseMatrix, s: SemiringId) -> np.ndarray:
     if s in _WIDE_ZERO:
         return _closure_plus(arr, s)
     if s is SemiringId.BOOLEAN and arr.min() >= 0 and arr.max() <= 1:
-        return _closure_bool(arr)
+        # the edges (i, j) with A_ij == 1; a 1-D nonzero is the fast one
+        return structure.reach(a.rows, *np.divmod(np.flatnonzero(arr), a.rows))
     d = None if s is SemiringId.BOOLEAN else _closure_order(arr, s)
     if d is None:
         d = arr.copy()
@@ -631,15 +637,6 @@ def _closure_order(arr: np.ndarray, s: SemiringId) -> np.ndarray | None:
     d[codes == -32768] = sr.NEG_INF
     d[codes == 32767] = sr.POS_INF
     return d
-
-
-def _closure_bool(arr: np.ndarray) -> np.ndarray:
-    """Reachability sweep on a bool array: every row that reaches k ORs in row k."""
-    d = arr.astype(bool)
-    np.fill_diagonal(d, True)
-    for k in range(d.shape[0]):
-        d[np.flatnonzero(d[:, k])] |= d[k]
-    return d.astype(_I32)
 
 
 # -- scalar reference kernels --------------------------------------------------

@@ -13,10 +13,12 @@ converts to int64 with the dtype given. The input type selects the product:
 the CLI parses sssp input into CSR, so its memory is O(n + m), and the dense
 branch serves a caller that already holds the grid.
 
-The CLI hands every graph command a CSR matrix. The closures are dense
-sweeps, so ``all_pairs_paths`` and ``reachability`` lay a CSR input out as a
-grid with ``sparse.to_dense``, the one CSR-to-grid layout; the saturation
-check of ``sssp`` reads a CSR input through ``sparse.edges``.
+The CLI hands every graph command a CSR matrix. The weighted closures are
+dense sweeps, so ``all_pairs_paths`` lays a CSR input out as a grid with
+``sparse.to_dense``, the one CSR-to-grid layout. ``reachability`` runs on
+the edge list (``structure.reach``) and builds no grid but its n x n
+result; it and the saturation check of ``sssp`` read their input through
+``sparse.edges``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Union
 
 import numpy as np
 
-from . import dense, semiring as sr, sparse
+from . import dense, semiring as sr, sparse, structure
 from .dense import DenseMatrix
 from .errors import SaturationError
 from .semiring import SemiringId
@@ -149,14 +151,16 @@ def reachability(a: Matrix, s: SemiringId = SemiringId.BOOLEAN) -> DenseMatrix:
 
     A dense entry is an edge iff it differs from zero(s). A CSR matrix
     stores only entries that differ from its own semiring's zero, so its
-    stored pattern is taken as the edge set: its grid is read under its own
-    semiring, and s is not used.
+    stored pattern is taken as the edge set, and s is not used. The edge
+    list goes straight to ``structure.reach``: the result equals the
+    Boolean closure of the 0/1 grid of those edges, and no other n x n
+    array is built.
     """
-    _square_size(a)
+    n = _square_size(a)
     if isinstance(a, CsrMatrix):
-        a, s = sparse.to_dense(a), a.semiring
-    arr = (a._arr != sr.zero(s)).astype(np.int32)
-    return dense.closure(DenseMatrix._wrap(arr), SemiringId.BOOLEAN)
+        s = a.semiring
+    src, dst, _ = sparse.edges(a, s)
+    return DenseMatrix._wrap(structure.reach(n, src, dst))
 
 
 def bottleneck_paths(a: Matrix) -> DenseMatrix:

@@ -223,8 +223,8 @@ def format_graph(matrix, s: SemiringId) -> str:
         header = f"{rows} {len(w)} {sr.TOKEN_OF[s]}"
     else:
         header = f"{rows} {cols} {len(w)} {sr.TOKEN_OF[s]}"
-    codes, table = _token_table(w, "inf", "-inf")
-    weights = np.array(table, dtype=object)[codes].tolist()
+    codes, table, _ = _token_table(w, "inf", "-inf")
+    weights = table[codes].tolist()
     lines = [header]
     lines += [f"{a} {b} {c}" for a, b, c in zip(u.tolist(), v.tolist(), weights)]
     return "\n".join(lines) + "\n"
@@ -236,17 +236,23 @@ def format_array(arr, as_json: bool = False) -> str:
     Text form: one line per row, values separated by single spaces,
     sentinels as inf / -inf. JSON form: the text ``json.dumps`` gives for
     the nested lists, with sentinels as the strings "inf" / "-inf" (JSON has
-    no infinities). Each distinct value is formatted once, in a token table;
-    one object-array take gathers the tokens of every entry.
+    no infinities). Each distinct value is formatted once, in a token table.
+    When every token that occurs has one width, as in a 0/1 result, the
+    text is laid out in one uint8 buffer (``_fixed_width``); otherwise one
+    object-array take gathers the tokens of every entry, and each row is
+    one join.
     """
     arr = np.asarray(arr)
     if as_json:
-        codes, table = _token_table(arr, '"inf"', '"-inf"')
+        codes, table, used = _token_table(arr, '"inf"', '"-inf"')
     else:
-        codes, table = _token_table(arr, "inf", "-inf")
-    tokens = np.array(table, dtype=object)[codes.reshape(-1, arr.shape[-1])]
+        codes, table, used = _token_table(arr, "inf", "-inf")
+    codes = codes.reshape(-1, arr.shape[-1])
+    tokens = table[used].tolist()
+    if len(set(map(len, tokens))) == 1:
+        return _fixed_width(codes, used, tokens, as_json, arr.ndim == 2)
     sep = ", " if as_json else " "
-    lines = [sep.join(row) for row in tokens.tolist()]
+    lines = [sep.join(row) for row in table[codes].tolist()]
     if not as_json:
         return "\n".join(lines)
     if arr.ndim == 1:
@@ -254,20 +260,63 @@ def format_array(arr, as_json: bool = False) -> str:
     return "[[" + "], [".join(lines) + "]]"
 
 
+def _fixed_width(
+    codes: np.ndarray, used: np.ndarray, tokens: list, as_json: bool, nested: bool
+) -> str:
+    """The text of format_array for a rows x cols array of token codes,
+    where ``tokens``, those of the codes in ``used``, share one width.
+
+    Every row then has one length, so the text is one uint8 buffer: each
+    row is a copy of one template line, and the tokens are written into its
+    cells through a strided view. A text line is the tokens, a blank
+    between two, and '\n'; the final '\n' is cut. A JSON line is '[', the
+    tokens, ', ' between two, and '], '; a nested array adds an outer '[',
+    and its last line ends in ']]'. Each cell is a token and the separator
+    after it, so the cells have one stride.
+    """
+    rows, cols = codes.shape
+    width = len(tokens[0])
+    glyphs = np.zeros((int(used[-1]) + 1, width), dtype=np.uint8)
+    glyphs[used] = np.frombuffer("".join(tokens).encode(), np.uint8).reshape(-1, width)
+    cell = b"0" * width + (b", " if as_json else b" ")
+    if as_json:
+        line = b"[" + (cell * cols)[:-2] + b"], "
+    else:
+        line = (cell * cols)[:-1] + b"\n"
+    head = int(as_json)
+    out = np.empty(head * nested + rows * len(line), dtype=np.uint8)
+    body = out[head * nested :].reshape(rows, len(line))
+    body[:] = np.frombuffer(line, np.uint8)
+    cells = body[:, head : head + cols * len(cell)].reshape(rows, cols, len(cell))
+    # each token as one width-byte item, so one take writes it
+    item = np.dtype((np.void, width))
+    cells[..., :width].view(item)[..., 0] = glyphs.view(item)[:, 0][codes]
+    if not as_json:
+        return str(out[:-1].data, "ascii")
+    if not nested:
+        return str(out[:-2].data, "ascii")
+    out[0], out[-2] = ord("["), ord("]")
+    return str(out[:-1].data, "ascii")
+
+
 # Widest span of finite values that the value table covers even when the
 # array has fewer entries: the table's object array takes 8 bytes a value.
 _TABLE_SPAN = 1 << 16
 
 
-def _token_table(arr: np.ndarray, inf: str, neg_inf: str) -> tuple[np.ndarray, list]:
-    """(codes, table) with table[codes] the token of every entry.
+def _token_table(
+    arr: np.ndarray, inf: str, neg_inf: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(codes, table, used): table, an object array, holds at table[codes]
+    the token of every entry, and used lists the codes that occur, sorted.
 
     When the finite values span fewer values than max(arr.size, _TABLE_SPAN),
     the table has a slot for every value from their min lo to their max hi,
     between the tokens of NEG_INF and POS_INF; a clip to [lo - 1, hi + 1]
     (neither of them a value of arr) yields the codes, and only the values
     that occur are formatted. Wider spans take the table of the distinct
-    values from ``np.unique``, whose sort is the costlier path.
+    values from ``np.unique``, whose sort is the costlier path. The two
+    sentinel slots hold their tokens whether or not they occur.
     """
     finite = (arr != NEG_INF) & (arr != POS_INF)
     lo = int(arr.min(where=finite, initial=sr.FINITE_MAX))
@@ -275,21 +324,21 @@ def _token_table(arr: np.ndarray, inf: str, neg_inf: str) -> tuple[np.ndarray, l
     if hi < lo:  # no finite value
         lo, hi = 0, -1
     if hi - lo < max(arr.size, _TABLE_SPAN):
-        codes = np.clip(arr, lo - 1, hi + 1) - (lo - 1)
+        codes = np.subtract(np.clip(arr, lo - 1, hi + 1), lo - 1, dtype=np.intp)
         seen = np.zeros(hi - lo + 3, dtype=bool)
         seen[codes] = True
-        table = [None] * seen.size
-        for c in np.flatnonzero(seen).tolist():
-            table[c] = str(c + lo - 1)
+        used = np.flatnonzero(seen)
+        table = np.empty(seen.size, dtype=object)
+        table[used] = list(map(str, (used + (lo - 1)).tolist()))
         table[0], table[-1] = neg_inf, inf
-        return codes, table
+        return codes, table, used
     values, codes = np.unique(arr, return_inverse=True)
-    table = list(map(str, values.tolist()))
+    table = np.array(list(map(str, values.tolist())), dtype=object)
     if values[0] == NEG_INF:
         table[0] = neg_inf
     if values[-1] == POS_INF:
         table[-1] = inf
-    return codes, table
+    return codes, table, np.arange(table.size)
 
 
 def parse_schedule(text: str) -> TaskGraph:

@@ -3,7 +3,8 @@
 Min-plus / max-plus run on int32 when (n - 1) * B <= 2^28, B the largest
 |v| over the entries that differ from zero(s), and fall back to the wide
 int64 sweep when that bound fails or a pass diverges. Max-min / min-max run
-on int16 order codes when the finite values span at most 65,533. Each case
+on int16 order codes when the finite values span at most 65,533. A 0/1
+Boolean matrix runs no sweep (``structure.reach``). Each case
 is checked against ``closure_reference`` bit for bit, at the default
 constants, with 2-row chunks and in blocks on worker threads
 (``sweep_runs``), and the tests also check which path ran, the same in every
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tropical as tr
-from tropical import DenseMatrix, SemiringId, dense, semiring as sr
+from tropical import DenseMatrix, SemiringId, dense, semiring as sr, structure
 from tropical.semiring import FINITE_MAX, FINITE_MIN, NEG_INF, POS_INF
 
 from sweep_runs import RUNS, sweep_run
@@ -332,8 +333,20 @@ def test_sentinel_heavy_order(s, data):
     assert closure_paths(rows, s) == ([("int16", True)], 0)
 
 
-def test_boolean_keeps_bool_for_zero_one_and_int32_otherwise():
+def test_boolean_takes_reach_for_zero_one_and_int32_otherwise(monkeypatch):
+    # a 0/1 matrix runs no sweep: its closure is structure.reach of its
+    # edges; any other entry sends the whole matrix to the int32 sweep
+    calls = []
+    reach = structure.reach
+
+    def spy(n, src, dst):
+        calls.append(n)
+        return reach(n, src, dst)
+
+    monkeypatch.setattr(structure, "reach", spy)
     rows = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
     assert closure_paths(rows, SemiringId.BOOLEAN) == ([], 0)
+    assert calls == [3] * len(RUNS)
     rows[2][2] = 6
     assert closure_paths(rows, SemiringId.BOOLEAN) == ([("int32", True)], 0)
+    assert calls == [3] * len(RUNS)

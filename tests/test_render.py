@@ -109,7 +109,7 @@ def test_only_sentinels():
 
 def table_kind(arr):
     """The table's length; every entry's token checked against the oracle."""
-    codes, table = tio._token_table(np.array(arr, dtype=np.int32), "inf", "-inf")
+    codes, table, _ = tio._token_table(np.array(arr, dtype=np.int32), "inf", "-inf")
     assert [table[c] for c in np.ravel(codes)] == [
         str(v) for v in np.ravel(patched(np.ravel(arr)))
     ]
@@ -141,6 +141,95 @@ def test_spans_below_the_table_span_take_the_value_table():
     assert table_kind([[0, span], [POS_INF, 5]]) == 4
     assert table_kind([-span, -1, NEG_INF]) == span + 2
     assert table_kind([-span, 0, NEG_INF]) == 3
+
+
+# -- the one-width layout -----------------------------------------------------------
+
+def layouts(arr):
+    """check(arr), and for JSON and text, in that order, whether the
+    one-width layout wrote the result."""
+    taken = []
+    fixed = tio._fixed_width
+
+    def spy(codes, used, tokens, as_json, nested):
+        taken.append(as_json)
+        return fixed(codes, used, tokens, as_json, nested)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tio, "_fixed_width", spy)
+        check(arr)
+    return True in taken, False in taken
+
+
+@pytest.mark.parametrize(
+    "arr",
+    [
+        [0, 1, 1, 0],
+        [7],
+        [-3, -9, -1],
+        [[0]],
+        [[1]],
+        [[5]],
+        [[POS_INF]],
+        [[NEG_INF]],
+        [[1], [0], [1], [1], [0]],
+        [[0, 1, 1, 0, 1]],
+        [[1, 0, 0], [0, 1, 0], [1, 1, 1]],
+        [[3, 9, 0], [4, 4, 8]],
+        [[-1, -2], [-3, -4]],
+        [[2147483646, 1000000000], [1234567890, 2147483646]],
+        [POS_INF] * 4,
+        [[NEG_INF] * 3] * 2,
+        [[POS_INF] * 2] * 3,
+    ],
+)
+def test_one_width_arrays_take_the_strided_layout(arr):
+    # the table holds the "inf" and "-inf" slots whatever occurs: only the
+    # tokens that occur decide the width
+    for dtype in (np.int32, np.int64):
+        assert layouts(np.array(arr, dtype=dtype)) == (True, True)
+
+
+@pytest.mark.parametrize(
+    "arr, taken",
+    [
+        ([[1, 10], [100, 5]], (False, False)),
+        ([0, -1], (False, False)),
+        ([[POS_INF, NEG_INF]], (False, False)),
+        ([[POS_INF, 0]], (False, False)),
+        # '"inf"' is as wide as 12345 in JSON, 'inf' is not in text
+        ([[POS_INF, 12345], [12345, 67890]], (True, False)),
+        ([[NEG_INF, -123]], (False, True)),
+    ],
+)
+def test_mixed_widths_take_the_table(arr, taken):
+    assert layouts(np.array(arr, dtype=np.int32)) == taken
+
+
+@PROPERTY
+@given(data=st.data())
+def test_the_layout_follows_the_widths_of_the_tokens_that_occur(data):
+    # values of w digits, all of one sign or of both, and sometimes the
+    # sentinels: the one-width layout writes a mode's text iff the tokens
+    # of that mode share one width
+    width = data.draw(st.integers(1, 10))
+    digits = st.integers(10 ** (width - 1) if width > 1 else 0, min(10**width - 1, FINITE_MAX))
+    values = data.draw(st.sampled_from([
+        digits, digits.map(lambda v: -v), st.one_of(digits, digits.map(lambda v: -v))
+    ]))
+    if data.draw(st.booleans()):
+        values = st.one_of(values, st.sampled_from([POS_INF, NEG_INF]))
+    rows, cols = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+    flat = data.draw(st.lists(values, min_size=rows * cols, max_size=rows * cols))
+    arr = np.array(flat, dtype=np.int64).reshape(rows, cols)
+    if data.draw(st.booleans()):
+        arr = arr[0]
+    tokens = patched(arr.ravel())
+    one_width = (
+        len({len(json.dumps(t)) for t in tokens}) == 1,
+        len({len(str(t)) for t in tokens}) == 1,
+    )
+    assert layouts(arr) == one_width
 
 
 # -- the CLI --------------------------------------------------------------------
