@@ -6,10 +6,10 @@ print as ``inf`` / ``-inf`` in text and appear as the strings "inf" / "-inf"
 in JSON (JSON has no infinities).
 
 Integer matrices and the sssp distances are rendered straight from their
-array by ``io.format_array``, which formats each distinct value once: under
---json as JSON text that ``run`` splices into the payload in place of the
-value, otherwise as the text lines. Every other payload is printed with one
-``json.dumps`` call.
+array by ``io.format_array``, which formats each distinct value once. Under
+--json the handler writes the whole line: ``json.dumps`` of the rest of the
+payload, then the array's JSON text as the last key. Every other payload is
+printed with one ``json.dumps`` call.
 
 Exit codes: 0 success, 1 library-level failure (e.g. a negative cycle, or
 running out of memory), 2 parse or usage errors.
@@ -32,12 +32,12 @@ from .semiring import SemiringId
 DEFAULT_CLOSURE_GUARD = 2048
 
 
-def _fmt_float(v: float):
+def _fmt_float(v: float, digits: int = 6):
     if v == float("-inf"):
         return "-inf"
     if v == float("inf"):
         return "inf"
-    return round(v, 6)
+    return round(v, digits)
 
 
 def _read_file(path: str) -> str:
@@ -152,18 +152,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # -- subcommand handlers: each returns (payload, text_lines) -------------------
-# Matrix and sssp commands render only the mode that is printed: the JSON
-# text of the array under --json (text_lines None), else its lines, joined
-# into one string.
-
-class _Json(str):
-    """JSON text that ``_dumps`` splices into a payload as it is."""
-
+# Matrix and sssp commands render only the mode that is printed: under --json
+# the payload is the finished JSON line, with the array as its last key
+# (text_lines None), else the array's lines, joined into one string.
 
 def _array_result(args, payload: dict, key: str, arr):
     if args.json:
-        payload[key] = _Json(tio.format_array(arr, as_json=True))
-        return payload, None
+        array = tio.format_array(arr, as_json=True)
+        return f"{json.dumps(payload)[:-1]}, {json.dumps(key)}: {array}}}", None
     return payload, [tio.format_array(arr)]
 
 
@@ -237,12 +233,11 @@ def _cmd_eigvec(args):
     if lam is None:
         raise NoCycleError("graph has no cycle, eigenvector undefined")
     res = spectral.eigenvector(m, lam, epsilon=args.eps, max_iter=args.max_iter)
-    residual = "inf" if res.residual == float("inf") else round(res.residual, 9)
     payload = {
         "command": "eigvec",
         "eigenvalue": str(lam),
         "vector": [_fmt_float(v) for v in res.vector],
-        "residual": residual,
+        "residual": _fmt_float(res.residual, 9),
         "converged": res.converged,
         "iterations": res.iterations,
     }
@@ -369,23 +364,11 @@ def run(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.json:
-        print(_dumps(payload))
+        print(payload if isinstance(payload, str) else json.dumps(payload))
     else:
         for line in lines:
             print(line)
     return 0
-
-
-def _dumps(payload: dict) -> str:
-    """``json.dumps(payload)``, with the text of each ``_Json`` value
-    spliced in as it is."""
-    if not any(isinstance(v, _Json) for v in payload.values()):
-        return json.dumps(payload)
-    items = (
-        f"{json.dumps(k)}: {v if isinstance(v, _Json) else json.dumps(v)}"
-        for k, v in payload.items()
-    )
-    return "{" + ", ".join(items) + "}"
 
 
 def main() -> None:

@@ -140,6 +140,27 @@ def test_eigvec_refuses_an_eps_that_is_not_finite_and_positive(tmp_path, capsys,
     assert "epsilon must be positive" in err
 
 
+def test_eigvec_without_iterations_prints_an_infinite_residual(tmp_path, capsys):
+    # vertex 2 has no out-edge, so the product of the start vector is -inf there
+    path = tmp_path / "sink.graph"
+    path.write_text("3 3 maxplus\n0 1 2\n1 0 -1\n0 0 -5\n")
+    code, out, err = invoke(capsys, "eigvec", str(path), "--max-iter", "0")
+    assert (code, err) == (0, "")
+    assert "residual inf" in out.splitlines()
+    code, out, err = invoke(capsys, "eigvec", str(path), "--max-iter", "0", "--json")
+    assert (code, err) == (0, "")
+    assert '"residual": "inf"' in out
+
+
+def test_eigvec_residual_keeps_nine_digits(fixtures, capsys):
+    # the vector rounds to 6 digits, the residual to 9
+    graph = str(fixtures / "cycles4_maxplus.graph")
+    code, out, _ = invoke(capsys, "eigvec", graph, "--max-iter", "0")
+    assert code == 0 and "residual 1.333333333" in out.splitlines()
+    code, payload, _ = invoke_json(capsys, "eigvec", graph, "--max-iter", "0")
+    assert payload["residual"] == 1.333333333
+
+
 @pytest.mark.parametrize("mode", [(), ("--json",)])
 def test_eigvec_of_an_acyclic_graph_is_a_no_cycle_error(tmp_path, capsys, mode):
     path = tmp_path / "acyclic.graph"

@@ -124,6 +124,34 @@ def test_sssp_maxplus_positive_cycle_raises():
     assert tr.sssp(tr.from_dense(flat, SemiringId.MAXPLUS), 0, SemiringId.MAXPLUS) == [0, 1, 1]
 
 
+# A loop whose weight is the other sentinel (inf under max-plus, -inf under
+# min-plus) clips its sum to the finite limit, so sssp settles before round n
+# and prints a saturated number where closure refuses the cycle.
+SENTINEL_LOOPS = [
+    ("3 2 maxplus\n0 1 -1\n1 1 inf\n", tr.PositiveCycleError),
+    ("3 2 minplus\n0 1 1\n1 1 -inf\n", tr.NegativeCycleError),
+]
+
+
+@pytest.mark.parametrize("text, error", SENTINEL_LOOPS, ids=["maxplus", "minplus"])
+def test_closure_refuses_a_reachable_sentinel_weight_loop(text, error):
+    m, s = tr.parse_graph(text)
+    with pytest.raises(error):
+        tr.closure(m, s)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP 'one outcome for a path query on saturating inputs', class A: "
+    "sssp returns a clipped distance where closure raises the cycle error",
+)
+@pytest.mark.parametrize("text, error", SENTINEL_LOOPS, ids=["maxplus", "minplus"])
+def test_sssp_refuses_a_reachable_sentinel_weight_loop(text, error):
+    m, s = tr.parse_graph(text, sparse=True)
+    with pytest.raises(error):
+        tr.sssp(m, 0, s)
+
+
 def test_all_pairs_known_values_and_identity():
     assert tr.all_pairs_paths(CHAIN3, SemiringId.MINPLUS).to_rows() == [
         [0, 2, 5],

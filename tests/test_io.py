@@ -107,6 +107,17 @@ def test_round_trip_sparse_and_rectangular():
     assert m2 == b
 
 
+def test_format_graph_writes_a_column_index_equal_to_pos_inf_as_a_number():
+    # record indices never go through the sentinel token table: a column
+    # index can equal POS_INF, which the table would print as inf
+    cols = 2**31
+    a = tr.from_triplets(1, cols, [(0, POS_INF, 5)], SemiringId.MAXPLUS)
+    text = tr.format_graph(a, SemiringId.MAXPLUS)
+    assert text == "1 2147483648 1 maxplus\n0 2147483647 5\n"
+    m, s = tr.parse_graph(text, sparse=True)
+    assert s is SemiringId.MAXPLUS and m == a
+
+
 def test_format_graph_refuses_a_csr_bound_to_another_semiring():
     a = tr.from_triplets(2, 2, [(0, 1, 3)], SemiringId.MAXPLUS)
     with pytest.raises(ValueError, match="matrix is bound to maxplus but minplus requested"):
