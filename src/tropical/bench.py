@@ -7,9 +7,15 @@ operations for an n x n product or closure sweep, 2*n^2 for a matrix-vector
 product, 2*m for ``sssp`` on a graph of m edges, and 2*n*m for ``eig``
 (``max_cycle_mean``) on a strongly connected graph of n vertices and m
 distinct edges. The ``sssp`` count is one relaxation sweep over the edges,
-so its MOPS is an edge throughput, not a count of the rounds run; the
-``eig`` count is Karp's n rounds, each relaxing every edge with one add and
-one max. ``render`` times the --json text of an n x n matrix
+so its MOPS is an edge throughput, not a count of the rounds run. The
+``eig`` count is Karp-equivalent work, n rounds that each relax every edge
+with one add and one max, kept so that MOPS compares across runs;
+``max_cycle_mean`` itself runs Howard policy iteration (a few rounds over
+the edges and an exact certificate, with a rolling two-row Karp only where
+the certificate fails) in O(n + m) memory. ``eigvec`` times
+``spectral.eigenvector`` on the ``eig`` graph and its eigenvalue, computed
+once before the repetitions, and counts 2m per power-iteration step over
+the steps it runs. ``render`` times the --json text of an n x n matrix
 (``io.format_array``), and its MOPS counts the n^2 values rendered per
 microsecond. ``parse`` times ``io.parse_graph(text, sparse=True)`` on the graph-file
 text of the ``sssp`` graph's edge records as drawn (``graph_text``), with
@@ -29,8 +35,8 @@ renders the uniform or convergent matrix itself, or the closure of the
 graph. Each report carries a CRC-32 of the inputs (``checksum``; for parse,
 that of the text) and one of the last repetition's result
 (``output_checksum``; for render, that of the rendered text; for parse,
-that of the CSR arrays), and the number of worker threads the closure
-sweeps may use (``workers``).
+that of the CSR arrays; for eigvec, that of the float64 vector), and the
+number of worker threads the closure sweeps may use (``workers``).
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from .dense import DenseMatrix
 from .io import format_array, parse_graph
 from .semiring import NEG_INF, TOKEN_OF, SemiringId
 
-BENCH_OPS = ("matmul", "matvec", "closure", "sssp", "eig", "render", "parse")
+BENCH_OPS = ("matmul", "matvec", "closure", "sssp", "eig", "eigvec", "render", "parse")
 BENCH_INPUTS = ("uniform", "graph", "convergent")
 
 # mean out-degree of the sssp, parse and eig graphs, and of the closure graphs
@@ -163,7 +169,10 @@ def _crc32(*arrays: np.ndarray) -> int:
 def _digest(result) -> int:
     """CRC-32 of a kernel's result: the int32 values of a matrix or a
     vector, the row pointers, column indices and values of a CSR matrix, or
-    the text of a cycle mean or a rendering."""
+    the text of a cycle mean or a rendering, or the float64 vector of an
+    eigenvector."""
+    if isinstance(result, spectral.EigenvectorResult):
+        return _crc32(np.array(result.vector))
     if isinstance(result, sparse.CsrMatrix):
         return _crc32(result.row_ptr, result.col_idx, result.values)
     if isinstance(result, DenseMatrix):
@@ -189,13 +198,19 @@ def run_bench(
     if reps < 1:
         raise ValueError("reps must be >= 1")
     rng = np.random.default_rng(seed)
-    if op == "eig":
+    if op in ("eig", "eigvec"):
         if s is not SemiringId.MAXPLUS:
-            raise ValueError("the eig benchmark requires the maxplus semiring")
+            raise ValueError(f"the {op} benchmark requires the maxplus semiring")
         a = random_eig_graph(n, rng)
         checksum = _crc32(a._arr)
-        work = lambda: spectral.max_cycle_mean(a)
-        ops = 2 * n * int(np.count_nonzero(a._arr != NEG_INF))
+        edges = int(np.count_nonzero(a._arr != NEG_INF))
+        if op == "eig":
+            work = lambda: spectral.max_cycle_mean(a)
+            ops = 2 * n * edges
+        else:
+            lam = spectral.max_cycle_mean(a)
+            work = lambda: spectral.eigenvector(a, lam)
+            ops = 2 * edges * work().iterations
     elif op == "sssp":
         g = random_graph(n, s, rng)
         source = int(rng.integers(n))

@@ -3,15 +3,23 @@
 The unique eigenvalue of an irreducible max-plus matrix is its maximum cycle
 mean, an exact rational. The edge-list core behind ``max_cycle_mean`` (and
 the scheduler's cycle time) splits the graph into strongly connected
-components with ``structure.components`` (Tarjan) and runs the source-based
-Karp recurrence on the edges of every component that holds a cycle: D[k][v]
-is the heaviest k-edge walk from a fixed source, one gather, add and segment
-max per k into an int64 table, and the component's value is
-max_v min_k (D[m][v] - D[k][v]) / (m - k). Exactness: every walk weight
-fits in int64 (|D| <= m * 2**31), each ratio is held as an integer part and
-a remainder over its denominator, so ratios compare with an integer compare
-and a cross product below m**2, and the last maximum and the comparison of
-components use Fraction. Floats never decide a maximum.
+components with ``structure.components`` (Tarjan) and runs Howard policy
+iteration (Cochet-Terrasson, Cohen, Gaubert, McGettrick & Quadrat 1998) on
+the edges of every component that holds a cycle, all components at once:
+one out-edge per vertex, its cycles and walks by pointer doubling, and
+improvements by segment maxima over the edges sorted by source. Floats only
+steer it. Each component's value p/q is the exact mean of a cycle of the
+final policy, certified with integer potentials X for the weights q*w - p
+(the policy walk weights to each cycle's root): X[src] >= q*w - p + X[dst]
+on every edge, so no cycle beats p/q. Improvement stops after a fixed
+number of rounds at the latest. A component whose final policy fails the
+certificate, or whose potentials could leave int64 (m * (q*max|w| + |p|)
+>= 2**62 for its m vertices), goes to a rolling Karp: two passes of the
+recurrence D[k][v] (the heaviest k-edge walk from a fixed source) that hold
+two rows at a time, with the value max_v min_k (D[m][v] - D[k][v]) / (m - k)
+compared on integer parts, remainders and Fractions. Memory is O(n + m) for
+n vertices and m edges; no array grows with the square of a component. The
+comparison of components uses Fraction, so floats never decide a maximum.
 
 Each function takes a ``DenseMatrix`` or a max-plus ``CsrMatrix`` and reads
 it as one edge list, the entries above NEG_INF; ``eigenvector`` multiplies on
@@ -107,62 +115,217 @@ def _edge_list(a: Matrix):
 
 def _max_cycle_mean_edges(n: int, src, dst, w) -> CycleMean | None:
     """``max_cycle_mean`` of the graph on n vertices with edges
-    (src[i], dst[i]) weighing w[i] (int64 arrays, duplicates allowed)."""
+    (src[i], dst[i]) weighing w[i] (int64 arrays of int32-range weights,
+    duplicates allowed)."""
     labels = structure.components(n, src, dst)
     cyclic = structure.cyclic(labels, src, dst)
     if not cyclic.any():
         return None
-    # number the vertices of each component 0..size-1, keep the edges inside
-    # cyclic components and sort them by (component, local destination)
-    sizes = np.bincount(labels)
-    order = np.argsort(labels, kind="stable")
-    local = np.empty_like(labels)
-    local[order] = np.arange(n) - (np.cumsum(sizes) - sizes)[labels[order]]
-    comp = labels[src]
-    keep = (comp == labels[dst]) & cyclic[comp]
-    comp, w = comp[keep], w[keep]
-    src, dst = local[src[keep]], local[dst[keep]]
-    edges = np.lexsort((dst, comp))
-    comp, src, dst, w = comp[edges], src[edges], dst[edges], w[edges]
-    bounds = np.searchsorted(comp, np.arange(len(sizes) + 1))
-    best = None
-    for c in np.flatnonzero(cyclic).tolist():
-        lo, hi = bounds[c], bounds[c + 1]
-        cand = _karp(int(sizes[c]), src[lo:hi], dst[lo:hi], w[lo:hi])
-        if best is None or cand > best:
-            best = cand
-    return CycleMean(best.numerator, best.denominator, strongly_connected=len(sizes) == 1)
+    # number the vertices of the cyclic components 0..k-1, component by
+    # component, and keep the edges inside them, sorted by source
+    vertices = np.flatnonzero(cyclic[labels])
+    vertices = vertices[np.argsort(labels[vertices], kind="stable")]
+    ids = np.empty(n, dtype=np.int64)
+    ids[vertices] = np.arange(len(vertices))
+    keep = (labels[src] == labels[dst]) & cyclic[labels[src]]
+    src, dst, w = ids[src[keep]], ids[dst[keep]], w[keep]
+    edges = np.argsort(src, kind="stable")
+    src, dst, w = src[edges], dst[edges], w[edges]
+    # Howard runs on all components at once; a component whose value it
+    # cannot certify goes to the rolling Karp
+    comp = labels[vertices]
+    firsts = np.flatnonzero(np.r_[True, comp[1:] != comp[:-1]])
+    p, q, certified = _certify(firsts, src, dst, w, *_howard(len(comp), src, dst, w))
+    # |p| <= m * 2**31 and the certificate's m * |p| < 2**62 keep |p| below
+    # 2**47, so p / q is correctly rounded and the exact maximum holds the
+    # largest float
+    mean = np.where(certified, p / q, -np.inf)
+    top = np.flatnonzero(certified & (mean == mean.max()))
+    means = [Fraction(int(p[i]), int(q[i])) for i in top.tolist()]
+    ends = np.r_[firsts[1:], len(comp)]
+    for i in np.flatnonzero(~certified).tolist():
+        lo, hi = firsts[i], ends[i]
+        e0, e1 = np.searchsorted(src, [lo, hi])
+        means.append(_karp(int(hi - lo), src[e0:e1] - lo, dst[e0:e1] - lo, w[e0:e1]))
+    best = max(means)
+    return CycleMean(best.numerator, best.denominator, strongly_connected=not labels.any())
+
+
+# policy improvements before Howard's policy goes to the certificate as it is
+_HOWARD_ROUNDS = 100
+# the certificate's potentials and edge sums stay below this in magnitude
+_CERTIFY_LIMIT = 2**62
+
+
+def _howard(m: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray):
+    """Howard policy iteration (Cochet-Terrasson, Cohen, Gaubert, McGettrick
+    & Quadrat 1998) on the m cyclic vertices of ``_max_cycle_mean_edges``,
+    whose every edge joins two vertices of one strongly connected component,
+    sorted by source: the final policy (one edge index per vertex) and its
+    ``_policy_walks``.
+
+    The first policy takes each vertex's heaviest out-edge, the lowest edge
+    index on ties. Value determination gives every vertex the mean eta of
+    the policy cycle its walk enters and the potential x = total - eta * dist
+    of that walk, so x[v] = w - eta + x[succ v] along the policy and x is 0
+    at each root. Improvement first moves every vertex that can gain on eta
+    to the out-edge of the largest eta[dst]; when none can, it moves every
+    vertex, among the edges of equal eta, to that of the largest
+    w - eta + x[dst] when that beats x[v]. A new cycle can only form in the
+    second step, and then its mean beats eta, so in exact arithmetic the
+    iteration ends, with x a potential that no edge improves. Floats only
+    steer it, and at most _HOWARD_ROUNDS improvements run: ``_certify``
+    decides exactly.
+    """
+    starts = np.flatnonzero(np.r_[True, src[1:] != src[:-1]])
+    edge = np.arange(len(src))
+    vertex = np.arange(m)
+    wf = w.astype(np.float64)
+    scale = m * max(1, int(np.abs(w).max()))
+
+    def first_max(values):
+        """Each vertex's largest value and the lowest edge index holding it."""
+        top = np.maximum.reduceat(values, starts)
+        hit = np.where(values == top[src], edge, len(edge))
+        return top, np.minimum.reduceat(hit, starts)
+
+    _, policy = first_max(wf)
+    for step in range(_HOWARD_ROUNDS + 1):
+        succ = dst[policy]
+        walks = _policy_walks(succ, w[policy])
+        if step == _HOWARD_ROUNDS:
+            break
+        root, dist, total = walks
+        # the mean of each policy cycle, at its root; the walk from succ[r]
+        # to the root r goes round the rest of the cycle
+        roots = np.flatnonzero(root == vertex)
+        after = succ[roots]
+        eta = np.zeros(m)
+        eta[roots] = (w[policy[roots]] + total[after]) / (1 + dist[after])
+        eta = eta[root]
+        # each eta is the correctly rounded quotient of two integers below
+        # 2**53 (for m < 2**22), so equal means are equal floats and a larger
+        # mean is never a smaller float
+        eta_dst = eta[dst]
+        top, up = first_max(eta_dst)
+        gain = top > eta
+        if gain.any():
+            policy = np.where(gain, up, policy)
+            continue
+        x = total - eta * dist
+        eta_src = eta[src]
+        value = np.where(eta_dst == eta_src, wf - eta_src + x[dst], -np.inf)
+        top, up = first_max(value)
+        # float noise in x stays far below this margin
+        better = top > x + (scale + np.abs(x).max()) * 2.0**-44
+        if not better.any():
+            break
+        policy = np.where(better, up, policy)
+    return policy, *walks
+
+
+def _policy_walks(succ: np.ndarray, c: np.ndarray):
+    """For the policy graph v -> succ[v] of edge weights c: each vertex's
+    root, the least vertex of the cycle its walk enters, and the number of
+    steps and the int64 weight of the walk from it to that root.
+
+    Pointer doubling, 2**k >= m steps at once: first the least vertex of a
+    window of 2**k steps, which from a cycle vertex covers the whole cycle,
+    and the vertex 2**k steps on, which is on a cycle; then the walks, with
+    each root made a sink."""
+    m = len(succ)
+    rounds = (m - 1).bit_length()
+    jump, low = succ, np.arange(m)
+    for _ in range(rounds):
+        low = np.minimum(low, low[jump])
+        jump = jump[jump]
+    root = low[jump]
+    sink = root == np.arange(m)
+    jump = np.where(sink, root, succ)
+    dist = (~sink).astype(np.int64)
+    total = np.where(sink, 0, c)
+    for _ in range(rounds):
+        total = total + total[jump]
+        dist = dist + dist[jump]
+        jump = jump[jump]
+    return root, dist, total
+
+
+def _certify(firsts, src, dst, w, policy, root, dist, total):
+    """Per component (its vertices start at ``firsts``), the exact mean
+    lambda = p/q of its best cycle of the policy, and whether integer
+    potentials prove lambda maximal.
+
+    X = q*total - p*dist is the weight of each policy walk to its root under
+    w' = q*w - p. When X[src] >= w' + X[dst] on every edge, any cycle,
+    summed over that edge test, weighs <= 0: no mean beats lambda, which a
+    policy cycle attains. (At a root the test bounds the policy cycle
+    through it; elsewhere on the policy it holds with equality.)
+    The test is made only where m * (q*max|w| + |p|) stays below
+    _CERTIFY_LIMIT for the component's m vertices, which keeps every X and
+    every edge sum in int64.
+    """
+    m = len(root)
+    sizes = np.diff(np.r_[firsts, m])
+    part = np.repeat(np.arange(len(firsts)), sizes)
+    edge_runs = np.searchsorted(src, firsts)
+    roots = np.flatnonzero(root == np.arange(m))
+    after = dst[policy[roots]]
+    sums, lengths = w[policy[roots]] + total[after], 1 + dist[after]
+    # each component's roots form a run; take its first best float mean
+    owner = part[roots]
+    runs = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
+    mean = sums / lengths
+    index = np.arange(len(roots))
+    hit = np.where(mean == np.maximum.reduceat(mean, runs)[owner], index, len(index))
+    best = np.minimum.reduceat(hit, runs)
+    common = np.gcd(sums[best], lengths[best])
+    p, q = sums[best] // common, lengths[best] // common
+    bounded = q * np.maximum.reduceat(np.abs(w), edge_runs) + np.abs(p) <= (
+        (_CERTIFY_LIMIT - 1) // sizes
+    )
+    # unbounded components are not tested; p/q = 0/1 keeps their sums small
+    p, q = np.where(bounded, p, 0), np.where(bounded, q, 1)
+    pv, qv = p[part], q[part]
+    x = qv * total - pv * dist
+    tight = x[src] >= qv[src] * w - pv[src] + x[dst]
+    return p, q, bounded & np.logical_and.reduceat(tight, edge_runs)
 
 
 def _karp(m: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> Fraction:
-    """Maximum cycle mean of one strongly connected component.
+    """Maximum cycle mean of one component by Karp's recurrence, two rows at
+    a time.
 
-    The m vertices are numbered 0..m-1 and the edges (duplicates allowed)
-    are sorted by destination; every vertex has an in-edge. Row k of the
-    table is the heaviest k-edge walk from vertex 0 to each vertex: one
-    gather, one add and one segment max per row. A missing walk starts at
-    the wide bottom -_WIDE = -2**61 and drifts by at most m * 2**31, so for
-    m < 2**29 it stays below -_WIDE_CUT = -2**60 while every real walk,
-    |weight| <= m * 2**31, stays above it.
+    Row k is the heaviest k-edge walk from vertex 0 to each vertex: one
+    gather, one add and one segment max over the edges sorted by
+    destination. The first pass rolls to row m; the second rolls rows
+    0..m-1 again and keeps, per vertex, the exact min over k of
+    (D[m][v] - D[k][v]) / (m - k) as q + r/den with 0 <= r < den <= m, so
+    two of them compare with an integer compare and a cross product below
+    m**2. A missing walk starts at the wide bottom -_WIDE = -2**61 and
+    drifts by at most m * 2**31, so for m < 2**29 it stays below
+    -_WIDE_CUT = -2**60 while every real walk, |weight| <= m * 2**31, stays
+    above it.
     """
+    order = np.argsort(dst, kind="stable")
+    src, dst, w = src[order], dst[order], w[order]
     starts = np.flatnonzero(np.r_[True, dst[1:] != dst[:-1]])
-    d = np.full((m + 1, m), -_WIDE, dtype=np.int64)
-    d[0, 0] = 0
-    for k in range(1, m + 1):
-        np.maximum.reduceat(d[k - 1][src] + w, starts, out=d[k])
-    # per vertex v, the exact min over k of (d[m][v] - d[k][v]) / (m - k),
-    # held as q + r/den with 0 <= r < den <= m: comparing two such values
-    # needs only an integer compare and a cross product below m**2
-    last = d[m]
+    first = np.full(m, -_WIDE, dtype=np.int64)
+    first[0] = 0
+    last = first
+    for _ in range(m):
+        last = np.maximum.reduceat(last[src] + w, starts)
     q = np.full(m, np.iinfo(np.int64).max)
     r = np.zeros(m, dtype=np.int64)
     den = np.ones(m, dtype=np.int64)
+    d = first
     for k in range(m):
-        qk, rk = np.divmod(last - d[k], m - k)
-        better = (d[k] > -_WIDE_CUT) & ((qk < q) | ((qk == q) & (rk * den < r * (m - k))))
+        qk, rk = np.divmod(last - d, m - k)
+        better = (d > -_WIDE_CUT) & ((qk < q) | ((qk == q) & (rk * den < r * (m - k))))
         q[better] = qk[better]
         r[better] = rk[better]
         den[better] = m - k
+        d = np.maximum.reduceat(d[src] + w, starts)
     # every vertex with an m-edge walk has a shorter one (drop a cycle), so
     # its minimum is set; the maximum over those vertices is settled with
     # Fraction among the vertices that share the largest integer part

@@ -51,7 +51,7 @@ def test_eig_graph_and_report():
     assert tr.max_cycle_mean(a).strongly_connected
     assert random_eig_graph(40, np.random.default_rng(2)) == a
     r = run_bench("eig", 40, SemiringId.MAXPLUS, reps=2, seed=2)
-    # Karp: n rounds, each an add and a max per distinct edge
+    # Karp-equivalent work: n rounds, each an add and a max per distinct edge
     assert r.mops == pytest.approx(2 * 40 * len(weights) / r.mean_us)
     assert r.checksum == run_bench("eig", 40, SemiringId.MAXPLUS, reps=1, seed=2).checksum
     with pytest.raises(ValueError):

@@ -222,12 +222,12 @@ def test_schedule_zero_cycle_time_prints_infinite_throughput(tmp_path, capsys):
     assert payload["throughput"] == "inf"
 
 
-def test_cyclic_schedule_runs_karp_once(fixtures, capsys, monkeypatch):
+def test_cyclic_schedule_runs_howard_once(fixtures, capsys, monkeypatch):
     from tropical import spectral
 
     calls = []
-    karp = spectral._karp
-    monkeypatch.setattr(spectral, "_karp", lambda *a: calls.append(1) or karp(*a))
+    howard = spectral._howard
+    monkeypatch.setattr(spectral, "_howard", lambda *a: calls.append(1) or howard(*a))
     code, out, _ = invoke(capsys, "schedule", str(fixtures / "production.sched"))
     assert code == 0
     assert "throughput 0.0926" in out.splitlines()
@@ -551,6 +551,15 @@ def test_bench_parse(capsys):
     assert (again["checksum"], again["output_checksum"]) == (
         payload["checksum"], payload["output_checksum"]
     )
+
+
+def test_bench_eigvec(capsys):
+    code, payload, err = invoke_json(
+        capsys, "bench", "--op", "eigvec", "--size", "32", "--reps", "2"
+    )
+    assert code == 0, err
+    assert payload["op"] == "eigvec" and len(payload["elapsed_us"]) == 2
+    assert isinstance(payload["output_checksum"], int)
 
 
 def test_text_json_parity(fixtures, capsys):
