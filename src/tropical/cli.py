@@ -18,6 +18,7 @@ running out of memory), 2 parse or usage errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -91,8 +92,13 @@ def build_parser() -> argparse.ArgumentParser:
             help=help_text,
         )
 
-    def add_graph_cmd(name, help_text, guard=False):
+    def add_cmd(name, handler, help_text):
         c = sub.add_parser(name, help=help_text)
+        c.set_defaults(handler=handler)
+        return c
+
+    def add_graph_cmd(name, handler, help_text, guard=False):
+        c = add_cmd(name, handler, help_text)
         c.add_argument("file", help="graph file")
         c.add_argument(
             "--sparse", action="store_true",
@@ -103,24 +109,26 @@ def build_parser() -> argparse.ArgumentParser:
         c.add_argument("--json", action="store_true", help="emit JSON instead of text")
         return c
 
-    add_graph_cmd("closure", "Kleene star of the adjacency matrix", guard=True)
-    c = add_graph_cmd("sssp", "single-source optimal path values")
+    add_graph_cmd("closure", _cmd_closure, "Kleene star of the adjacency matrix", guard=True)
+    c = add_graph_cmd("sssp", _cmd_sssp, "single-source optimal path values")
     c.add_argument("--source", type=int, required=True, help="0-based source vertex")
-    add_graph_cmd("apsp", "all-pairs optimal path values", guard=True)
-    add_graph_cmd("reach", "reachability (Boolean transitive closure)", guard=True)
-    add_graph_cmd("bottleneck", "all-pairs widest-path values (max-min)", guard=True)
+    add_graph_cmd("apsp", _cmd_closure, "all-pairs optimal path values", guard=True)
+    add_graph_cmd("reach", _cmd_closure, "reachability (Boolean transitive closure)", guard=True)
+    add_graph_cmd(
+        "bottleneck", _cmd_closure, "all-pairs widest-path values (max-min)", guard=True
+    )
 
-    c = sub.add_parser("matmul", help="tropical product of two matrix files")
+    c = add_cmd("matmul", _cmd_matmul, "tropical product of two matrix files")
     c.add_argument("file_a")
     c.add_argument("file_b")
     add_guard(c, "largest row or column count accepted for either operand")
     c.add_argument("--json", action="store_true")
 
-    c = sub.add_parser("eig", help="eigenvalue (maximum cycle mean) of a max-plus graph")
+    c = add_cmd("eig", _cmd_eig, "eigenvalue (maximum cycle mean) of a max-plus graph")
     c.add_argument("file")
     c.add_argument("--json", action="store_true")
 
-    c = sub.add_parser("eigvec", help="eigenvector by tropical power iteration")
+    c = add_cmd("eigvec", _cmd_eigvec, "eigenvector by tropical power iteration")
     c.add_argument("file")
     c.add_argument("--eps", type=float, default=1e-9, help="L-infinity tolerance")
     c.add_argument(
@@ -128,17 +136,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     c.add_argument("--json", action="store_true")
 
-    c = sub.add_parser("schedule", help="solve a precedence-constrained schedule file")
+    c = add_cmd("schedule", _cmd_schedule, "solve a precedence-constrained schedule file")
     c.add_argument("file")
     c.add_argument("--start", type=int, default=0, help="global start-time offset")
     c.add_argument("--json", action="store_true")
 
-    c = sub.add_parser("bench", help="micro-benchmark a kernel")
+    c = add_cmd("bench", _cmd_bench, "micro-benchmark a kernel")
     c.add_argument("--op", choices=BENCH_OPS, required=True)
     c.add_argument("--size", type=int, required=True)
-    c.add_argument(
-        "--semiring", choices=sorted(sr.SEMIRING_TOKENS), default="maxplus"
-    )
+    c.add_argument("--semiring", choices=sorted(sr.SEMIRING_TOKENS), default="maxplus")
     c.add_argument("--reps", type=int, default=3)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument(
@@ -300,22 +306,18 @@ def _cmd_bench(args):
     if args.op in ("matmul", "matvec", "closure", "render"):
         _guard_closure(args.size, args.size, args.closure_guard, args.op)
     report = run_bench(args.op, args.size, s, args.reps, args.seed, args.input)
-    payload = {
-        "command": "bench",
-        "op": report.op,
-        "n": report.n,
-        "semiring": sr.TOKEN_OF[report.semiring],
-        "reps": report.reps,
-        "seed": report.seed,
-        "elapsed_us": [round(e, 3) for e in report.elapsed_us],
-        "mean_us": round(report.mean_us, 3),
-        "median_us": round(report.median_us, 3),
-        "mops": round(report.mops, 3),
-        "checksum": report.checksum,
-        "input": report.kind,
-        "output_checksum": report.output_checksum,
-        "workers": report.workers,
-    }
+    # the report's fields in order: the semiring as its token, floats to 3
+    # places, and the input kind under the key "input"
+    payload = {"command": "bench"}
+    for field in dataclasses.fields(report):
+        v = getattr(report, field.name)
+        if field.name == "semiring":
+            v = sr.TOKEN_OF[v]
+        elif isinstance(v, float):
+            v = round(v, 3)
+        elif isinstance(v, list):
+            v = [round(e, 3) for e in v]
+        payload["input" if field.name == "kind" else field.name] = v
     # one "key value" line per field, a list as its space-separated items
     lines = [
         f"{k} {' '.join(map(str, v)) if isinstance(v, list) else v}"
@@ -323,20 +325,6 @@ def _cmd_bench(args):
         if k != "command"
     ]
     return payload, lines
-
-
-_HANDLERS = {
-    "closure": _cmd_closure,
-    "apsp": _cmd_closure,
-    "reach": _cmd_closure,
-    "bottleneck": _cmd_closure,
-    "sssp": _cmd_sssp,
-    "matmul": _cmd_matmul,
-    "eig": _cmd_eig,
-    "eigvec": _cmd_eigvec,
-    "schedule": _cmd_schedule,
-    "bench": _cmd_bench,
-}
 
 
 @functools.cache
@@ -353,7 +341,7 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        payload, lines = _HANDLERS[args.command](args)
+        payload, lines = args.handler(args)
     except (GraphParseError, _GuardRefusal) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

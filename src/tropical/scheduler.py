@@ -19,6 +19,7 @@ SaturationError for a time outside it rather than return a saturated one.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,38 +65,39 @@ class TaskGraph:
         return len(self.names)
 
     def add_task(self, name: str, duration: int, ready: int = 0) -> int:
+        duration, ready = operator.index(duration), operator.index(ready)
         if duration < 0:
             raise ValueError(f"task {name!r}: duration must be non-negative")
         if ready < 0:
             raise ValueError(f"task {name!r}: ready time must be non-negative")
         self.names.append(name)
-        self.durations.append(int(duration))
-        self.ready.append(int(ready))
+        self.durations.append(duration)
+        self.ready.append(ready)
         self._last_result = None
         return self.n - 1
 
-    def _check_id(self, t: int) -> None:
+    def _check_id(self, t: int) -> int:
+        t = operator.index(t)
         if not 0 <= t < self.n:
             raise ValueError(f"task id {t} out of range (have {self.n} tasks)")
+        return t
 
     def add_constraint(self, src: int, dst: int, lag: int | None = None) -> None:
         """Require start_dst >= start_src + lag; lag defaults to duration(src)."""
-        self._check_id(src)
-        self._check_id(dst)
-        if lag is None:
-            lag = self.durations[src]
+        src, dst = self._check_id(src), self._check_id(dst)
+        lag = self.durations[src] if lag is None else operator.index(lag)
         if lag < 0:
             raise ValueError("lag must be non-negative")
-        self.edges.append(_Edge(src, dst, int(lag)))
+        self.edges.append(_Edge(src, dst, lag))
         self._last_result = None
 
     def add_feedback(self, src: int, dst: int, lag: int) -> None:
         """Declare a feedback edge for a repeating system; implies cyclic."""
-        self._check_id(src)
-        self._check_id(dst)
+        src, dst = self._check_id(src), self._check_id(dst)
+        lag = operator.index(lag)
         if lag < 0:
             raise ValueError("lag must be non-negative")
-        self.edges.append(_Edge(src, dst, int(lag), feedback=True))
+        self.edges.append(_Edge(src, dst, lag, feedback=True))
         self.cyclic = True
         self._last_result = None
 
@@ -133,6 +135,7 @@ def solve(g: TaskGraph, start_time: int = 0) -> ScheduleResult:
     """Earliest start/completion times; start_time offsets every ready time."""
     if g.n == 0:
         raise ValueError("task graph has no tasks")
+    start_time = operator.index(start_time)
     src, dst, lag = _edges(g)
     _check_acyclic(g, src, dst)
     a = _constraint_matrix(g.n, src, dst, lag)

@@ -44,9 +44,9 @@ class CsrMatrix:
     def __init__(self, rows, cols, values, col_idx, row_ptr, semiring: SemiringId):
         self.rows = int(rows)
         self.cols = int(cols)
-        self.values = np.asarray(values, dtype=_I32)
-        self.col_idx = np.asarray(col_idx, dtype=_U32)
-        self.row_ptr = np.asarray(row_ptr, dtype=_U32)
+        self.values = _stored(values, _I32, "value {} outside the 32-bit tropical range")
+        self.col_idx = _stored(col_idx, _U32, "column index {} outside [0, 2**32)")
+        self.row_ptr = _stored(row_ptr, _U32, "row pointer {} outside [0, 2**32)")
         self.semiring = semiring
         self._validate()
 
@@ -99,6 +99,31 @@ class CsrMatrix:
         return f"CsrMatrix({self.rows}x{self.cols}, nnz={self.nnz}, {self.semiring.name.lower()})"
 
 
+def _integers(data) -> np.ndarray:
+    """data as an array of integers; a non-integer raises TypeError."""
+    arr = np.asarray(data)
+    if arr.size and arr.dtype.kind not in "biu":
+        for v in arr.ravel().tolist():
+            if not isinstance(v, int):
+                raise TypeError(f"tropical values must be integers, got {type(v).__name__}")
+    return arr
+
+
+def _stored(data, dtype, message: str) -> np.ndarray:
+    """data in a storage dtype. An array already in it is taken as it is;
+    anything else must hold integers that the dtype holds, else the first
+    number it would wrap fills the ValueError's message."""
+    arr = np.asarray(data)
+    if arr.dtype == dtype:
+        return arr
+    arr = _integers(arr)
+    info = np.iinfo(dtype)
+    bad = np.flatnonzero((arr < info.min) | (arr > info.max))
+    if bad.size:
+        raise ValueError(message.format(arr.ravel()[bad[0]]))
+    return arr.astype(dtype)
+
+
 def _coo_rows(a: CsrMatrix) -> np.ndarray:
     """Row index of every stored entry, in storage order."""
     return np.repeat(np.arange(a.rows, dtype=_I64), np.diff(a.row_ptr.astype(_I64)))
@@ -124,7 +149,7 @@ def _from_coo(rows: int, cols: int, i, j, v, s: SemiringId) -> CsrMatrix:
         i, j, v = i[keep], j[keep], v[keep]
     row_ptr = np.zeros(rows + 1, dtype=_I64)
     np.cumsum(np.bincount(i, minlength=rows), out=row_ptr[1:])
-    return CsrMatrix(rows, cols, v, j, row_ptr, s)
+    return CsrMatrix(rows, cols, v.astype(_I32), j.astype(_U32), row_ptr.astype(_U32), s)
 
 
 def from_triplets(
@@ -141,7 +166,7 @@ def from_triplets(
     """
     if not isinstance(entries, np.ndarray):
         entries = list(entries)
-    t = np.asarray(entries, dtype=_I64)
+    t = _integers(entries).astype(_I64, copy=False)
     if t.size == 0:
         t = t.reshape(0, 3)
     if t.ndim != 2 or t.shape[1] != 3:
@@ -201,7 +226,9 @@ def transpose(a: CsrMatrix) -> CsrMatrix:
     order = np.argsort(col * a.rows + row)
     row_ptr = np.zeros(a.cols + 1, dtype=_I64)
     np.cumsum(np.bincount(col, minlength=a.cols), out=row_ptr[1:])
-    return CsrMatrix(a.cols, a.rows, a.values[order], row[order], row_ptr, a.semiring)
+    return CsrMatrix(
+        a.cols, a.rows, a.values[order], row[order].astype(_U32), row_ptr.astype(_U32), a.semiring
+    )
 
 
 def spmv(a: CsrMatrix, x: Sequence[int]) -> list[int]:
@@ -276,7 +303,7 @@ def spmm(a: CsrMatrix, b: CsrMatrix) -> CsrMatrix:
     np.cumsum(np.concatenate([np.diff(c.row_ptr.astype(_I64)) for c in blocks]), out=row_ptr[1:])
     values = np.concatenate([c.values for c in blocks])
     col_idx = np.concatenate([c.col_idx for c in blocks])
-    return CsrMatrix(a.rows, b.cols, values, col_idx, row_ptr, s)
+    return CsrMatrix(a.rows, b.cols, values, col_idx, row_ptr.astype(_U32), s)
 
 
 def memory_bytes(a: CsrMatrix) -> int:

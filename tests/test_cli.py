@@ -647,3 +647,14 @@ def test_sssp_saturated_distance_exits_1(tmp_path, capsys, semiring, extra):
     path.write_text(f"3 2 {semiring}\n0 1 2000000000\n1 2 147483646\n")
     code, out, _ = invoke(capsys, "sssp", str(path), "--source", "0", *extra)
     assert code == 0 and out == "0 2000000000 2147483646\n"
+
+
+@pytest.mark.parametrize(
+    "flags, out",
+    [((), "no cycle\n"), (("--json",), '{"command": "eig", "eigenvalue": null}\n')],
+    ids=["text", "json"],
+)
+def test_eig_of_an_acyclic_graph_prints_no_cycle(tmp_path, capsys, flags, out):
+    path = tmp_path / "acyclic.graph"
+    path.write_text("3 2 maxplus\n0 1 4\n1 2 -1\n")
+    assert invoke(capsys, "eig", str(path), *flags) == (0, out, "")

@@ -152,6 +152,27 @@ def test_sssp_refuses_a_reachable_sentinel_weight_loop(text, error):
         tr.sssp(m, 0, s)
 
 
+# Class B case 2: no negative cycle, but the clipped sum 0->5->2 settles at
+# FINITE_MAX, so the rounds keep changing through n and name a negative cycle;
+# exact arithmetic puts the distance of 2 past FINITE_MAX.
+CLIPPED_INTO_A_CYCLE = (
+    "6 8 minplus\n5 2 1\n2 1 5\n3 3 2\n0 5 2147483646\n4 2 1\n4 2 -7\n"
+    "1 4 2147483646\n5 5 5\n"
+)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=tr.NegativeCycleError,
+    reason="ROADMAP 'sssp on exact int64 rounds', class B case 2: clipped sums "
+    "invent a negative cycle where exact arithmetic saturates",
+)
+def test_sssp_names_saturation_where_clipping_invents_a_negative_cycle():
+    m, s = tr.parse_graph(CLIPPED_INTO_A_CYCLE, sparse=True)
+    with pytest.raises(tr.SaturationError):
+        tr.sssp(m, 0, s)
+
+
 def test_all_pairs_known_values_and_identity():
     assert tr.all_pairs_paths(CHAIN3, SemiringId.MINPLUS).to_rows() == [
         [0, 2, 5],

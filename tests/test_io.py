@@ -4,6 +4,7 @@ import pytest
 
 import tropical as tr
 from tropical import NEG_INF, POS_INF, DenseMatrix, GraphParseError, SemiringId
+from tropical.cli import run
 
 P, N = POS_INF, NEG_INF
 
@@ -203,3 +204,37 @@ def test_parse_inf_weights_comments_and_crlf():
     # tokens longer than 11 characters are valid when their value is in range
     m, _ = tr.parse_graph("2 1 maxplus\n0 00000000001 -000000000007\n")
     assert m.to_rows() == [[N, -7], [N, N]]
+
+
+
+TWO_TASKS = "task 0 a 1\ntask 1 b 2\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        (
+            "schedule",
+            "task 0 a\n",
+            "line 1: task record must be 'task <id> <name> <duration> [ready]'",
+        ),
+        ("schedule", "task 0 a 5 -1\n", "line 1: ready time must be non-negative"),
+        ("schedule", TWO_TASKS + "dep 0\n", "line 3: dep record must be 'dep <from> <to> [lag]'"),
+        (
+            "schedule",
+            TWO_TASKS + "feedback 1 0\n",
+            "line 3: feedback record must be 'feedback <from> <to> <lag>'",
+        ),
+        ("schedule", TWO_TASKS + "dep 0 7\n", "line 3: task id 7 out of range (have 2 tasks)"),
+        ("schedule", TWO_TASKS + "feedback 1 0 -2\n", "line 3: lag must be non-negative"),
+        ("closure", "0 0 minplus\n", "line 1: matrix dimensions must be >= 1"),
+    ],
+    ids=["task-arity", "negative-ready", "dep-arity", "feedback-arity", "dep-range",
+         "negative-feedback-lag", "empty-header"],
+)
+def test_cli_names_the_line_of_a_bad_record(tmp_path, capsys, command, text, message):
+    path = tmp_path / "input"
+    path.write_text(text)
+    assert run([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")

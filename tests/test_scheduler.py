@@ -2,6 +2,7 @@ import math
 import random
 import signal
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -598,3 +599,47 @@ def test_critical_path_method_counts_the_fewest_hops_of_a_tie():
     assert critical_path_method(g) == ([0, 2, 4, 0], 2)
     r = tr.solve(g)
     assert (r.start, r.iterations) == ([0, 2, 4, 0], 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: g.add_task("c", 1.5),
+        lambda g: g.add_task("c", 1, 0.5),
+        lambda g: g.add_constraint(0, 1, 2.9),
+        lambda g: g.add_constraint(0.9, 1, 3),
+        lambda g: g.add_constraint(0, 1.0),
+        lambda g: g.add_feedback(1, 0, 2.5),
+        lambda g: scheduler.solve(g, 0.5),
+    ],
+    ids=["duration", "ready", "lag", "source", "target", "feedback-lag", "start-time"],
+)
+def test_task_graph_refuses_non_integer_times(call):
+    g = TaskGraph()
+    g.add_task("a", 2)
+    g.add_task("b", 3, 1)
+    g.add_constraint(0, 1)
+    before = (list(g.durations), list(g.ready), list(g.edges), g.cyclic)
+    with pytest.raises(TypeError):
+        call(g)
+    assert (g.durations, g.ready, g.edges, g.cyclic) == before
+
+
+def test_task_graph_takes_numpy_integers_as_python_ints():
+    g = TaskGraph()
+    g.add_task("a", np.int64(2))
+    g.add_task("b", np.uint8(3), np.int32(1))
+    g.add_constraint(np.int64(0), np.int16(1), np.int64(4))
+    g.add_feedback(np.uint32(1), 0, np.int8(5))
+    assert g.durations == [2, 3] and g.ready == [0, 1]
+    assert all(type(v) is int for v in g.durations + g.ready + [e.lag for e in g.edges])
+    assert scheduler.solve(g, np.int64(7)) == scheduler.solve(g, 7)
+    assert scheduler.solve(g, 7).start == [7, 11]
+
+
+@pytest.mark.parametrize(
+    "call", [scheduler.solve, scheduler.cycle_time], ids=["solve", "cycle_time"]
+)
+def test_an_empty_task_graph_is_refused(call):
+    with pytest.raises(ValueError, match="^task graph has no tasks$"):
+        call(TaskGraph())

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 import tropical as tr
@@ -202,3 +203,92 @@ def test_csr_validation_names_the_first_bad_row():
         CsrMatrix(3, 3, [1, 2, 3, 4], [0, 0, 2, 3], [0, 1, 3, 4], SemiringId.MAXPLUS)
     with pytest.raises(ValueError, match="^row 0: column indices"):
         CsrMatrix(2, 3, [1, 2], [2, 1], [0, 2, 2], SemiringId.MAXPLUS)
+
+
+@pytest.mark.parametrize(
+    "values, col_idx, row_ptr, error, match",
+    [
+        (np.array([2**32 + 5]), [0], [0, 1], ValueError, "^value 4294967301 outside the 32-bit"),
+        ([POS_INF + 1], [0], [0, 1], ValueError, "^value 2147483648 outside the 32-bit"),
+        ([NEG_INF - 1], [0], [0, 1], ValueError, "^value -2147483649 outside the 32-bit"),
+        ([1.5], [0], [0, 1], TypeError, "^tropical values must be integers, got float$"),
+        (np.array([2.0]), [0], [0, 1], TypeError, "got float$"),
+        ([1], [-1], [0, 1], ValueError, "^column index -1 outside"),
+        ([1], np.array([2**32]), [0, 1], ValueError, "^column index 4294967296 outside"),
+        ([1], [0.0], [0, 1], TypeError, "got float$"),
+        ([1, 2], [0, 0], np.array([0, 1, 2**32 + 2]), ValueError, "^row pointer 4294967298"),
+        ([1, 2], [0, 0], [0, -1, 2], ValueError, "^row pointer -1 outside"),
+        ([1, 2], [0, 0], [0, 1, 2.0], TypeError, "got float$"),
+    ],
+    ids=["value-array-past-2**32", "value-past-pos-inf", "value-below-neg-inf", "value-float",
+         "value-float-array", "column-negative", "column-at-2**32", "column-float",
+         "row-ptr-past-2**32", "row-ptr-negative", "row-ptr-float"],
+)
+def test_csr_refuses_numbers_its_storage_would_wrap(values, col_idx, row_ptr, error, match):
+    rows = len(row_ptr) - 1
+    with pytest.raises(error, match=match):
+        CsrMatrix(rows, 1, values, col_idx, row_ptr, SemiringId.MINPLUS)
+
+
+def test_csr_takes_any_integer_array_that_fits_its_storage():
+    expect = CsrMatrix(2, 3, [NEG_INF, POS_INF - 1], [2, 0], [0, 1, 2], SemiringId.MINPLUS)
+    for dtype in (np.int64, np.uint64, np.int32):
+        cols = np.array([2, 0], dtype=dtype)
+        ptr = np.array([0, 1, 2], dtype=dtype)
+        vals = np.array([NEG_INF, POS_INF - 1], dtype=np.int64 if dtype is np.uint64 else dtype)
+        a = CsrMatrix(2, 3, vals, cols, ptr, SemiringId.MINPLUS)
+        assert a == expect
+        assert (a.values.dtype, a.col_idx.dtype, a.row_ptr.dtype) == (
+            np.int32, np.uint32, np.uint32
+        )
+    empty = CsrMatrix(1, 1, [], [], [0, 0], SemiringId.MAXPLUS)
+    assert empty.nnz == 0
+
+
+@pytest.mark.parametrize(
+    "entries, match",
+    [
+        ([(0, 1, 1.7)], "^tropical values must be integers, got float$"),
+        ([(0.9, 1, 3)], "^tropical values must be integers, got float$"),
+        ([(0, 1, 3), (1, 0, "4")], "^tropical values must be integers, got str$"),
+        (np.array([[0, 1, 2.0]]), "^tropical values must be integers, got float$"),
+    ],
+    ids=["value", "index", "string", "float-array"],
+)
+def test_from_triplets_refuses_non_integer_entries(entries, match):
+    with pytest.raises(TypeError, match=match):
+        tr.from_triplets(2, 2, entries, SemiringId.MINPLUS)
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: tr.from_triplets(2, 2, [(0, 1)], SemiringId.MINPLUS), "triplets"),
+        (lambda: tr.from_triplets(2, 2, [0, 1, 2], SemiringId.MINPLUS), "triplets"),
+        (
+            lambda: tr.from_triplets(2, 2, [(0, 1, POS_INF + 1)], SemiringId.MINPLUS),
+            "^value 2147483648 outside the 32-bit tropical range$",
+        ),
+        (
+            lambda: CsrMatrix(2, 2, [1, 2], [0], [0, 1, 2], SemiringId.MINPLUS),
+            "^values and col_idx lengths differ$",
+        ),
+        (
+            lambda: CsrMatrix(2, 2, [1], [0], [0, 1], SemiringId.MINPLUS),
+            "^row_ptr must have rows\\+1 entries$",
+        ),
+        (
+            lambda: CsrMatrix(2, 2, [1], [0], [1, 1, 1], SemiringId.MINPLUS),
+            "^row_ptr must start at 0 and end at nnz$",
+        ),
+        (
+            lambda: CsrMatrix(2, 2, [1], [0], [0, 2, 1], SemiringId.MINPLUS),
+            "^row_ptr must be non-decreasing$",
+        ),
+    ],
+    ids=["pairs", "flat", "past-pos-inf", "lengths", "row-ptr-length", "row-ptr-ends",
+         "row-ptr-order"],
+)
+def test_sparse_construction_refusals(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()

@@ -323,3 +323,13 @@ def test_eigenvector_errors():
 def test_eigenvector_refuses_an_epsilon_that_is_not_finite_and_positive(epsilon):
     with pytest.raises(ValueError, match="epsilon"):
         tr.eigenvector(CYCLES4, CycleMean(8, 3), epsilon=epsilon)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [DenseMatrix([[1, 2, 3], [4, 5, 6]]), tr.from_triplets(2, 3, [(0, 2, 1)], SemiringId.MAXPLUS)],
+    ids=["dense", "csr"],
+)
+def test_max_cycle_mean_refuses_a_non_square_matrix(a):
+    with pytest.raises(ValueError, match="^cycle mean requires a square matrix$"):
+        tr.max_cycle_mean(a)
