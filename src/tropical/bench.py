@@ -24,7 +24,12 @@ microsecond. ``parse`` times ``io.parse_graph(text, sparse=True)`` on the graph-
 text of the ``sssp`` graph's edge records as drawn (``graph_text``), with
 their duplicate (u, v) pairs kept, so the parse folds them as it does for a
 generated input file; its MOPS counts the edge records read per
-microsecond.
+microsecond. ``schedule`` times ``scheduler.solve`` on a max-plus task
+graph of n tasks (``random_task_graph``), each task after the first
+depending on 3 distinct tasks among the 50 before it, with durations in
+[1, 99] as default lags; it counts 2m for m constraints, one add and one
+max each, the work of one pass in topological order, and digests the start
+times.
 
 The closure, matmul and render benchmarks take one of three input kinds:
 ``uniform`` (the default) fills every entry uniformly from [-1000, 1000];
@@ -38,7 +43,8 @@ renders the uniform or convergent matrix itself, or the closure of the
 graph. Each report carries a CRC-32 of the inputs (``checksum``; for parse,
 that of the text) and one of the last repetition's result
 (``output_checksum``; for render, that of the rendered text; for parse,
-that of the CSR arrays; for eigvec, that of the float64 vector), and the
+that of the CSR arrays; for eigvec, that of the float64 vector; for
+schedule, that of the start times), and the
 number of worker threads the closure sweeps may use (``workers``).
 """
 
@@ -51,12 +57,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dense, graph, sparse, spectral, structure
+from . import dense, graph, scheduler, sparse, spectral, structure
 from .dense import DenseMatrix
 from .io import format_array, parse_graph
 from .semiring import TOKEN_OF, SemiringId
 
-BENCH_OPS = ("matmul", "matvec", "closure", "sssp", "eig", "eigvec", "render", "parse")
+BENCH_OPS = (
+    "matmul", "matvec", "closure", "sssp", "eig", "eigvec", "schedule", "render", "parse"
+)
 BENCH_INPUTS = ("uniform", "graph", "convergent")
 
 # mean out-degree of the sssp, parse and eig graphs, and of the closure graphs
@@ -65,6 +73,12 @@ CLOSURE_DEGREE = 16
 
 _ENTRY_LO = -1000
 _ENTRY_HI = 1000
+
+# schedule graphs: each task's predecessors, the window they are drawn
+# from, and the range of the durations
+_SCHEDULE_PREDS = 3
+_SCHEDULE_WINDOW = 50
+_SCHEDULE_DURATION = (1, 99)
 
 # eig graph weights, and how many draws may fail to be strongly connected
 _EIG_WEIGHT = 100
@@ -162,6 +176,25 @@ def random_eig_graph(n: int, rng: np.random.Generator) -> DenseMatrix:
     raise ValueError(f"no strongly connected graph of size {n} in {_EIG_DRAWS} draws")
 
 
+def random_task_graph(n: int, rng: np.random.Generator) -> scheduler.TaskGraph:
+    """n tasks with durations uniform in [1, 99], each task t after the
+    first depending on 3 distinct tasks among the 50 before it; each
+    constraint's lag is its source's duration."""
+    durations = rng.integers(_SCHEDULE_DURATION[0], _SCHEDULE_DURATION[1] + 1, size=n)
+    edges = []
+    for t in range(1, n):
+        first = max(0, t - _SCHEDULE_WINDOW)
+        k = min(_SCHEDULE_PREDS, t - first)
+        for u in sorted(rng.choice(np.arange(first, t), size=k, replace=False).tolist()):
+            edges.append((u, t))
+    g = scheduler.TaskGraph()
+    for t, d in enumerate(durations.tolist()):
+        g.add_task(f"t{t}", d)
+    for u, v in edges:
+        g.add_constraint(u, v)
+    return g
+
+
 def _crc32(*arrays: np.ndarray) -> int:
     checksum = 0
     for arr in arrays:
@@ -174,6 +207,8 @@ def _digest(result) -> int:
     vector, the row pointers, column indices and values of a CSR matrix, or
     the text of a cycle mean or a rendering, or the float64 vector of an
     eigenvector."""
+    if isinstance(result, scheduler.ScheduleResult):
+        result = result.start
     if isinstance(result, spectral.EigenvectorResult):
         return _crc32(np.array(result.vector))
     if isinstance(result, sparse.CsrMatrix):
@@ -215,6 +250,14 @@ def run_bench(
             lam = spectral.max_cycle_mean(a)
             work = lambda: spectral.eigenvector(a, lam)
             ops = 2 * a.nnz * work().iterations
+    elif op == "schedule":
+        if s is not SemiringId.MAXPLUS:
+            raise ValueError("the schedule benchmark requires the maxplus semiring")
+        g = random_task_graph(n, rng)
+        edges = np.array([(e.src, e.dst) for e in g.edges], dtype=np.int64)
+        checksum = _crc32(np.array(g.durations, dtype=np.int64), edges)
+        work = lambda: scheduler.solve(g)
+        ops = 2 * len(g.edges)
     elif op == "sssp":
         g = random_graph(n, s, rng)
         source = int(rng.integers(n))

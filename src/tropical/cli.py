@@ -152,7 +152,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="closure, matmul and render input: uniform entries, a sparse graph of 16n edges,"
         " or entries in [1, 1000] (negated for maxplus) whose closure converges",
     )
-    add_guard(c, "largest n accepted for the dense benchmarks (matmul, matvec, closure, render)")
+    add_guard(
+        c, "largest n accepted for the dense benchmarks (matmul, matvec, closure, render, schedule)"
+    )
     c.add_argument("--json", action="store_true")
     return p
 
@@ -303,7 +305,7 @@ def _cmd_bench(args):
     from .bench import run_bench
 
     s = sr.parse_semiring(args.semiring)
-    if args.op in ("matmul", "matvec", "closure", "render"):
+    if args.op in ("matmul", "matvec", "closure", "render", "schedule"):
         _guard_closure(args.size, args.size, args.closure_guard, args.op)
     report = run_bench(args.op, args.size, s, args.reps, args.seed, args.input)
     # the report's fields in order: the semiring as its token, floats to 3

@@ -5,10 +5,11 @@ an absent edge holds the semiring zero. Because of that orientation, the
 single-source relaxation propagates with the transpose-style product
 x vecmat A, so the result reads "best path value from the source to i".
 
-Dense and CSR ``sssp`` and the scheduler share one relaxation loop over
-arrays, ``relax``; only the per-round product differs: ``dense.vecmat`` with
-A, or ``sparse.spmv`` with A^T. ``sparse.transpose`` builds A^T once per call
-from one sort of A's entries. The products return lists, which ``relax``
+Dense and CSR ``sssp`` share one relaxation loop over arrays, ``relax``;
+only the per-round product differs: ``dense.vecmat`` with A, or
+``sparse.spmv`` with A^T. ``sparse.transpose`` builds A^T once per call
+from one sort of A's entries. The scheduler runs no rounds: its graph is
+acyclic, and it substitutes forward in topological order. The products return lists, which ``relax``
 converts to int64 with the dtype given. The input type selects the product:
 the CLI parses sssp input into CSR, so its memory is O(n + m), and the dense
 branch serves a caller that already holds the grid.
@@ -113,7 +114,7 @@ def _check_saturation(a: Matrix, d: np.ndarray, s: SemiringId) -> None:
 
 def relax(d: np.ndarray, product, s: SemiringId, rounds: int):
     """Up to ``rounds`` rounds of d <- d (+) product(d), the relaxation that
-    single-source paths and the scheduler share.
+    dense and CSR single-source paths share.
 
     Each round multiplies only the frontier: the entries that changed in the
     previous round, with zero(s) elsewhere (at first, all of d). (+) is

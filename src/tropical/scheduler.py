@@ -5,12 +5,17 @@ start_v >= start_u + lag. When a constraint is added without an explicit
 lag it defaults to the predecessor's duration ("v starts after u finishes"),
 which is the usual finish-to-start reading.
 
-Earliest start times are the least fixed point of s = s (+) (s vecmat A)
-over max-plus, reached in at most n-1 rounds of ``graph.relax`` on an
-acyclic edge set. Feedback edges (declared for cyclic, repeating systems)
-are excluded from the fixed-point solve; they only enter the cycle-time /
-throughput analysis, where the minimum achievable period is the maximum
-cycle mean of all the edges, feedback included, computed on the edge list.
+Earliest start times are the least solution of s = b (+) (s vecmat A) over
+max-plus, b the ready times (Baccelli, Cohen, Olsder & Quadrat 1992). On an
+acyclic edge set it is solved by forward substitution, one topological
+level at a time, as a level-scheduled triangular solve: one ``vecmat`` per
+level multiplies the rows of that level's tasks, whose starts are final, so
+each task's row is multiplied once. ``iterations`` reports the rounds that
+Jacobi relaxation from b would run. Feedback edges (declared for cyclic,
+repeating systems) are excluded from this solve; they only enter the
+cycle-time / throughput analysis, where the minimum achievable period is
+the maximum cycle mean of all the edges, feedback included, computed on the
+edge list.
 
 Every start and completion must lie in [0, FINITE_MAX]; ``solve`` raises
 SaturationError for a time outside it rather than return a saturated one.
@@ -27,7 +32,6 @@ import numpy as np
 from . import dense, structure
 from .dense import DenseMatrix
 from .errors import CycleInAcyclicGraphError, NoCycleError, SaturationError
-from .graph import relax
 from .semiring import FINITE_MAX, NEG_INF, POS_INF, SemiringId
 from .spectral import CycleMean, _max_cycle_mean_edges
 
@@ -117,9 +121,10 @@ def _constraint_matrix(n: int, src, dst, lag) -> DenseMatrix:
     return DenseMatrix(grid)
 
 
-def _check_acyclic(g: TaskGraph, src, dst) -> None:
+def _check_acyclic(g: TaskGraph, src, dst) -> np.ndarray:
     """Reject a cycle among the non-feedback edges, naming every task on a
-    cycle or downstream of one (the tasks no topological order can place)."""
+    cycle or downstream of one (the tasks no topological order can place).
+    Returns the tasks' Tarjan labels, each task its own component."""
     labels = structure.components(g.n, src, dst)
     cyclic = structure.cyclic(labels, src, dst)
     if cyclic.any():
@@ -129,6 +134,7 @@ def _check_acyclic(g: TaskGraph, src, dst) -> None:
             "(declare feedback edges for cyclic systems)",
             vertices=tuple(np.flatnonzero(stuck).tolist()),
         )
+    return labels
 
 
 def solve(g: TaskGraph, start_time: int = 0) -> ScheduleResult:
@@ -137,16 +143,16 @@ def solve(g: TaskGraph, start_time: int = 0) -> ScheduleResult:
         raise ValueError("task graph has no tasks")
     start_time = operator.index(start_time)
     src, dst, lag = _edges(g)
-    _check_acyclic(g, src, dst)
+    order = structure.edge_order(_check_acyclic(g, src, dst), src)
+    src, dst, lag = src[order], dst[order], lag[order]
     a = _constraint_matrix(g.n, src, dst, lag)
-    s = SemiringId.MAXPLUS
     ready = [r + start_time for r in g.ready]
     _check_times(g, "start", ready)
     # a start below 0 is refused below. A ready time below 0 only matters
     # where no predecessor lifts the start to 0 or more, and there the start
     # stays below 0 whatever that ready time is: -1 stands for all of them
     floor = np.array([max(r, -1) for r in ready], dtype=np.int64)
-    start, _, iterations = relax(floor, lambda x: dense.vecmat(x, a, s), s, g.n - 1)
+    start = _forward_substitute(floor, a, _levels(g.n, src, dst))
     low = np.flatnonzero(start < 0)
     if low.size:
         raise SaturationError(f"start of task {g.names[low[0]]!r} is below 0")
@@ -162,10 +168,58 @@ def solve(g: TaskGraph, start_time: int = 0) -> ScheduleResult:
         start=cur,
         completion=completion,
         makespan=max(completion),
-        iterations=iterations,
+        iterations=_rounds(start, floor, src, dst, lag),
     )
     g._last_result = result
     return result
+
+
+def _levels(n: int, src, dst) -> list[np.ndarray]:
+    """The tasks of each level, level by level. A task's level is the most
+    edges on a path that ends at it; the edges come in a topological order,
+    so each source's level is final before its out-edges are read."""
+    level = [0] * n
+    for u, v in zip(src.tolist(), dst.tolist()):
+        if level[v] <= level[u]:
+            level[v] = level[u] + 1
+    level = np.array(level)
+    by_level = np.argsort(level, kind="stable")
+    return np.split(by_level, np.cumsum(np.bincount(level))[:-1])
+
+
+def _forward_substitute(floor: np.ndarray, a: DenseMatrix, levels) -> np.ndarray:
+    """x = floor (+) x vecmat A, level by level. Every predecessor of a task
+    lies on a lower level, so the starts of a level are final once the levels
+    below it are multiplied: one vecmat per level but the last, its vector
+    holding that level's starts and NEG_INF elsewhere, multiplies each
+    task's row once."""
+    start = floor.copy()
+    x = np.full(floor.size, NEG_INF, dtype=np.int64)
+    for tasks in levels[:-1]:
+        x[tasks] = start[tasks]
+        y = np.asarray(dense.vecmat(x, a, SemiringId.MAXPLUS), dtype=np.int64)
+        np.maximum(start, y, out=start)
+        x[tasks] = NEG_INF
+    return start
+
+
+def _rounds(start: np.ndarray, floor: np.ndarray, src, dst, lag) -> int:
+    """The rounds that Jacobi relaxation from the floor runs: the first round
+    that changes nothing, at most n - 1.
+
+    A task's start last changes in round hops, the fewest edges on a path
+    that reaches it: 0 where the start is its floor, else 1 + the least hops
+    over its tight in-edges (start_u + lag == start_v). No sum was clipped,
+    so every start above its floor has a tight in-edge, and the edges come in
+    a topological order.
+    """
+    n = start.size
+    hops = np.where(start == floor, 0, n).tolist()
+    tight = start[src] + lag == start[dst]
+    for u, v in zip(src[tight].tolist(), dst[tight].tolist()):
+        if hops[v] > hops[u] + 1:
+            hops[v] = hops[u] + 1
+    return min(max(hops) + 1, n - 1)
 
 
 def _check_times(g: TaskGraph, what: str, times: list[int]) -> None:

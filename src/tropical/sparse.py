@@ -166,21 +166,28 @@ def from_triplets(
     """
     if not isinstance(entries, np.ndarray):
         entries = list(entries)
-    t = _integers(entries).astype(_I64, copy=False)
+    t = _integers(entries)
     if t.size == 0:
         t = t.reshape(0, 3)
     if t.ndim != 2 or t.shape[1] != 3:
         raise ValueError("entries must be (i, j, value) triplets")
+    # the ranges are checked on the integers as given, which the int64 cast
+    # could wrap (uint64) or overflow (Python ints in an object array)
     i, j, v = t[:, 0], t[:, 1], t[:, 2]
     bad = np.flatnonzero((i < 0) | (i >= rows) | (j < 0) | (j >= cols))
     if bad.size:
         k = bad[0]
         raise ValueError(f"entry index ({i[k]}, {j[k]}) out of range for {rows}x{cols}")
-    if s is not SemiringId.BOOLEAN:
+    if s is SemiringId.BOOLEAN:
+        v = v != 0
+    else:
         bad = np.flatnonzero((v < sr.NEG_INF) | (v > sr.POS_INF))
         if bad.size:
             raise ValueError(f"value {v[bad[0]]} outside the 32-bit tropical range")
-    return _from_coo(rows, cols, i, j, v, s)
+    return _from_coo(
+        rows, cols, i.astype(_I64, copy=False), j.astype(_I64, copy=False),
+        v.astype(_I64, copy=False), s,
+    )
 
 
 def edges(a: DenseMatrix | CsrMatrix, s: SemiringId):

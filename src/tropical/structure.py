@@ -92,6 +92,13 @@ def cyclic(labels: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return out
 
 
+def edge_order(labels: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """Indices of the edges by falling source label, ties in edge-list order:
+    a topological order of the condensation: an edge into a component from
+    another comes before every edge out of it."""
+    return np.argsort(-labels[src], kind="stable")
+
+
 def downstream(
     labels: np.ndarray, src: np.ndarray, dst: np.ndarray, marked: np.ndarray
 ) -> np.ndarray:
@@ -101,9 +108,8 @@ def downstream(
     condensation, so a component's flag is final before its out-edges are.
     """
     out = marked.copy()
-    lu, lv = labels[src], labels[dst]
-    order = np.argsort(-lu, kind="stable")
-    for u, v in zip(lu[order].tolist(), lv[order].tolist()):
+    order = edge_order(labels, src)
+    for u, v in zip(labels[src[order]].tolist(), labels[dst[order]].tolist()):
         if out[u]:
             out[v] = True
     return out

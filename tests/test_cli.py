@@ -2,7 +2,9 @@ import json
 import subprocess
 import sys
 import tracemalloc
+import zlib
 
+import numpy as np
 import pytest
 from conftest import FIXTURES
 
@@ -560,6 +562,27 @@ def test_bench_eigvec(capsys):
     assert code == 0, err
     assert payload["op"] == "eigvec" and len(payload["elapsed_us"]) == 2
     assert isinstance(payload["output_checksum"], int)
+
+
+def test_bench_schedule(capsys):
+    from tropical import bench, scheduler
+
+    code, payload, err = invoke_json(
+        capsys, "bench", "--op", "schedule", "--size", "60", "--reps", "2"
+    )
+    assert code == 0, err
+    assert payload["op"] == "schedule" and len(payload["elapsed_us"]) == 2
+    assert isinstance(payload["output_checksum"], int)
+    # the CRC-32 of the int32 start times
+    g = bench.random_task_graph(60, np.random.default_rng(0))
+    starts = np.array(scheduler.solve(g).start, dtype=np.int32)
+    assert payload["output_checksum"] == zlib.crc32(starts.tobytes())
+    code, _, err = invoke(capsys, "bench", "--op", "schedule", "--size", "8", "--semiring", "minplus")
+    assert (code, err) == (1, "error: the schedule benchmark requires the maxplus semiring\n")
+    code, _, err = invoke(
+        capsys, "bench", "--op", "schedule", "--size", "60", "--closure-guard", "59"
+    )
+    assert code == 2 and "guard is 59" in err
 
 
 def test_text_json_parity(fixtures, capsys):

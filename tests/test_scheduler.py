@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tropical as tr
-from tropical import CycleMean, TaskGraph, scheduler
+from tropical import CycleMean, TaskGraph, dense, scheduler
+from tropical.bench import random_task_graph
+from tropical.graph import relax
 
 
 def drone_graph():
@@ -599,6 +601,113 @@ def test_critical_path_method_counts_the_fewest_hops_of_a_tie():
     assert critical_path_method(g) == ([0, 2, 4, 0], 2)
     r = tr.solve(g)
     assert (r.start, r.iterations) == ([0, 2, 4, 0], 2)
+
+
+def level_count(g):
+    """One more than the most edges on a path: the levels of the tasks."""
+    order, incoming = topological_order(g)
+    level = [0] * g.n
+    for v in order:
+        for e in incoming[v]:
+            level[v] = max(level[v], level[e.src] + 1)
+    return max(level) + 1
+
+
+def task_chain(n):
+    g = TaskGraph()
+    for t in range(n):
+        g.add_task(f"t{t}", t % 5)
+    for t in range(1, n):
+        g.add_constraint(t - 1, t)
+    return g
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: random_task_graph(2000, np.random.default_rng(3)), lambda: task_chain(300)],
+    ids=["layered-2000", "chain-300"],
+)
+def test_solve_multiplies_each_task_row_once(build, monkeypatch):
+    # work, not time: the vectors handed to vecmat hold at most n live
+    # entries in all, one vecmat per level but the last
+    g = build()
+    calls, live = 0, 0
+    vecmat = dense.vecmat
+
+    def counting(x, a, s):
+        nonlocal calls, live
+        calls += 1
+        live += int(np.count_nonzero(np.asarray(x) != tr.NEG_INF))
+        return vecmat(x, a, s)
+
+    monkeypatch.setattr(dense, "vecmat", counting)
+    r = tr.solve(g)
+    assert live <= g.n
+    assert calls == level_count(g) - 1
+    assert (r.start, r.iterations) == critical_path_method(g)
+
+
+def jacobi_solve(g, start_time=0):
+    """solve as Jacobi rounds: n - 1 rounds of graph.relax over dense.vecmat
+    on the constraint matrix, with solve's checks in solve's order. Returns
+    the starts, completions, makespan and rounds run."""
+    src, dst, lag = scheduler._edges(g)
+    scheduler._check_acyclic(g, src, dst)
+    a = scheduler._constraint_matrix(g.n, src, dst, lag)
+    ready = [r + start_time for r in g.ready]
+    scheduler._check_times(g, "start", ready)
+    floor = np.array([max(r, -1) for r in ready], dtype=np.int64)
+    s = tr.SemiringId.MAXPLUS
+    start, _, iterations = relax(floor, lambda x: dense.vecmat(x, a, s), s, g.n - 1)
+    low = np.flatnonzero(start < 0)
+    if low.size:
+        raise tr.SaturationError(f"start of task {g.names[low[0]]!r} is below 0")
+    reach = start.copy()
+    np.maximum.at(reach, dst, start[src] + lag)
+    scheduler._check_times(g, "start", reach.tolist())
+    completion = [st + d for st, d in zip(start.tolist(), g.durations)]
+    scheduler._check_times(g, "completion", completion)
+    return start.tolist(), completion, max(completion), iterations
+
+
+SATURATING = [0, 1, 3, 2**29, 2**30, tr.FINITE_MAX // 2, tr.FINITE_MAX - 5, tr.FINITE_MAX]
+
+
+@st.composite
+def saturating_dags(draw, max_n=7):
+    """Acyclic task graphs whose durations, ready times and lags sit at the
+    ends of the finite range, and a start time that may push ready times
+    below 0 or past FINITE_MAX."""
+    n = draw(st.integers(1, max_n))
+    time = st.sampled_from(SATURATING)
+    g = TaskGraph()
+    for t in range(n):
+        g.add_task(f"t{t}", draw(time), ready=draw(time))
+    rank = draw(st.permutations(range(n)))
+    vertex = st.integers(0, n - 1)
+    for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n)):
+        if rank[u] < rank[v]:
+            g.add_constraint(u, v, draw(st.none() | time))
+    return g, draw(st.sampled_from([0, -3, -(2**30), 5, 2**30]))
+
+
+def outcome(solver, g, start_time):
+    try:
+        return solver(g, start_time)
+    except Exception as err:
+        return type(err), str(err)
+
+
+def level_solve(g, start_time):
+    r = tr.solve(g, start_time)
+    return r.start, r.completion, r.makespan, r.iterations
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(saturating_dags())
+def test_solve_matches_jacobi_relaxation_at_the_ends_of_the_range(case):
+    g, start_time = case
+    assert outcome(level_solve, g, start_time) == outcome(jacobi_solve, g, start_time)
 
 
 @pytest.mark.parametrize(

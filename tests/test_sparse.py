@@ -261,6 +261,27 @@ def test_from_triplets_refuses_non_integer_entries(entries, match):
 
 
 @pytest.mark.parametrize(
+    "entries, match",
+    [
+        ([(0, 1, 2**70)], "^value 1180591620717411303424 outside the 32-bit tropical range$"),
+        (
+            np.array([[0, 1, 2**63 + 5]], dtype=np.uint64),
+            "^value 9223372036854775813 outside the 32-bit tropical range$",
+        ),
+        (
+            np.array([[2**64 - 1, 1, 3]], dtype=np.uint64),
+            r"^entry index \(18446744073709551615, 1\) out of range for 2x2$",
+        ),
+    ],
+    ids=["python-int", "uint64-value", "uint64-index"],
+)
+def test_from_triplets_names_an_integer_past_int64_as_given(entries, match):
+    # the range checks come before the int64 cast, which would overflow or wrap
+    with pytest.raises(ValueError, match=match):
+        tr.from_triplets(2, 2, entries, SemiringId.MINPLUS)
+
+
+@pytest.mark.parametrize(
     "build, match",
     [
         (lambda: tr.from_triplets(2, 2, [(0, 1)], SemiringId.MINPLUS), "triplets"),
