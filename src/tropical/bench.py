@@ -29,7 +29,11 @@ graph of n tasks (``random_task_graph``), each task after the first
 depending on 3 distinct tasks among the 50 before it, with durations in
 [1, 99] as default lags; it counts 2m for m constraints, one add and one
 max each, the work of one pass in topological order, and digests the start
-times.
+times; its repetitions share the graph's edge arrays, built on the first.
+``parse-schedule`` times ``io.parse_schedule`` on the schedule-file text of
+that task graph (``schedule_text``: a task record per task, then a dep
+record without a lag per edge), counts the records read per microsecond,
+and digests the parsed durations and edges.
 
 The closure, matmul and render benchmarks take one of three input kinds:
 ``uniform`` (the default) fills every entry uniformly from [-1000, 1000];
@@ -44,7 +48,8 @@ graph. Each report carries a CRC-32 of the inputs (``checksum``; for parse,
 that of the text) and one of the last repetition's result
 (``output_checksum``; for render, that of the rendered text; for parse,
 that of the CSR arrays; for eigvec, that of the float64 vector; for
-schedule, that of the start times), and the
+schedule, that of the start times; for parse-schedule, that of the
+durations and the edges' sources, targets and lags), and the
 number of worker threads the closure sweeps may use (``workers``).
 """
 
@@ -59,11 +64,12 @@ import numpy as np
 
 from . import dense, graph, scheduler, sparse, spectral, structure
 from .dense import DenseMatrix
-from .io import format_array, parse_graph
+from .io import format_array, parse_graph, parse_schedule
 from .semiring import TOKEN_OF, SemiringId
 
 BENCH_OPS = (
-    "matmul", "matvec", "closure", "sssp", "eig", "eigvec", "schedule", "render", "parse"
+    "matmul", "matvec", "closure", "sssp", "eig", "eigvec", "schedule", "render", "parse",
+    "parse-schedule",
 )
 BENCH_INPUTS = ("uniform", "graph", "convergent")
 
@@ -195,6 +201,15 @@ def random_task_graph(n: int, rng: np.random.Generator) -> scheduler.TaskGraph:
     return g
 
 
+def schedule_text(g: scheduler.TaskGraph) -> str:
+    """Schedule-file text of a task graph whose lags are its sources'
+    durations: a task record per task, then a dep record without a lag per
+    edge, in order."""
+    lines = [f"task {t} {name} {d}" for t, (name, d) in enumerate(zip(g.names, g.durations))]
+    lines += [f"dep {e.src} {e.dst}" for e in g.edges]
+    return "\n".join(lines) + "\n"
+
+
 def _crc32(*arrays: np.ndarray) -> int:
     checksum = 0
     for arr in arrays:
@@ -205,8 +220,13 @@ def _crc32(*arrays: np.ndarray) -> int:
 def _digest(result) -> int:
     """CRC-32 of a kernel's result: the int32 values of a matrix or a
     vector, the row pointers, column indices and values of a CSR matrix, or
-    the text of a cycle mean or a rendering, or the float64 vector of an
-    eigenvector."""
+    the text of a cycle mean or a rendering, the float64 vector of an
+    eigenvector, or the durations and edge columns of a task graph."""
+    if isinstance(result, scheduler.TaskGraph):
+        edges = [(e.src, e.dst, e.lag) for e in result.edges]
+        return _crc32(
+            np.array(result.durations, dtype=np.int64), np.array(edges, dtype=np.int64).T
+        )
     if isinstance(result, scheduler.ScheduleResult):
         result = result.start
     if isinstance(result, spectral.EigenvectorResult):
@@ -250,14 +270,20 @@ def run_bench(
             lam = spectral.max_cycle_mean(a)
             work = lambda: spectral.eigenvector(a, lam)
             ops = 2 * a.nnz * work().iterations
-    elif op == "schedule":
+    elif op in ("schedule", "parse-schedule"):
         if s is not SemiringId.MAXPLUS:
-            raise ValueError("the schedule benchmark requires the maxplus semiring")
+            raise ValueError(f"the {op} benchmark requires the maxplus semiring")
         g = random_task_graph(n, rng)
-        edges = np.array([(e.src, e.dst) for e in g.edges], dtype=np.int64)
-        checksum = _crc32(np.array(g.durations, dtype=np.int64), edges)
-        work = lambda: scheduler.solve(g)
-        ops = 2 * len(g.edges)
+        if op == "schedule":
+            edges = np.array([(e.src, e.dst) for e in g.edges], dtype=np.int64)
+            checksum = _crc32(np.array(g.durations, dtype=np.int64), edges)
+            work = lambda: scheduler.solve(g)
+            ops = 2 * len(g.edges)
+        else:
+            text = schedule_text(g)
+            checksum = zlib.crc32(text.encode())
+            work = lambda: parse_schedule(text)
+            ops = g.n + len(g.edges)
     elif op == "sssp":
         g = random_graph(n, s, rng)
         source = int(rng.integers(n))

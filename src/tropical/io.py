@@ -14,7 +14,8 @@ the semiring zero. Schedule files::
     task <id> <name> <duration> [ready]
     dep <from> <to> [lag]           lag defaults to duration(from)
     feedback <from> <to> <lag>      cyclic systems only
-    cyclic                          marks the graph cyclic explicitly
+    cyclic                          marks the graph cyclic explicitly;
+                                    takes no arguments
 
 Task ids must be dense 0..n-1. Every integer field is ASCII ``-?[0-9]+``.
 
@@ -28,6 +29,14 @@ body (ASCII digits, '-', spaces, tabs and '\n', '\r\n' or '\r' line breaks,
 each record starting its line and its fields one blank apart) is checked
 and converted as byte arrays; any other body, and every error, goes through
 a line-by-line parse that names the first bad line.
+
+A schedule file is read in one pass into columns: each content line is
+split once and its fields go to the columns of its record kind. Each
+integer column is checked with one regex over its fields joined by blanks
+and converted with one ``map(int, ...)``, the other checks run on whole
+columns, and the TaskGraph's columns are built directly, deps in file order
+and then feedback edges. A file that fails any check is parsed again line
+by line, which raises at the first bad line.
 """
 
 from __future__ import annotations
@@ -342,7 +351,107 @@ def _token_table(
 
 
 def parse_schedule(text: str) -> TaskGraph:
-    """Parse a schedule file into a TaskGraph."""
+    """Parse a schedule file into a TaskGraph.
+
+    The records are read in one pass into columns and checked column by
+    column (``_schedule_columns``); a file that fails any check is parsed
+    again line by line (``_schedule_lines``), which names the first bad
+    line.
+    """
+    g = _schedule_columns(text)
+    return _schedule_lines(text) if g is None else g
+
+
+# one or more -?[0-9]+ fields, one blank apart: a column joined by blanks
+_INT_COLUMN = re.compile(r"-?[0-9]+(?: -?[0-9]+)*")
+
+
+def _int_column(fields: list[str]) -> list[int] | None:
+    """The integers of a column of fields, or None unless each is -?[0-9]+
+    (and within int()'s digit limit)."""
+    if fields and not _INT_COLUMN.fullmatch(" ".join(fields)):
+        return None
+    try:
+        return list(map(int, fields))
+    except ValueError:
+        return None
+
+
+def _schedule_columns(text: str) -> TaskGraph | None:
+    """The TaskGraph of a schedule file, read as columns: each content line
+    is split once and its fields go to the columns of its record kind, and
+    every check runs on a whole column. None when any check fails, so that
+    _schedule_lines names the first bad line; the graph is otherwise the one
+    it builds."""
+    tasks, deps, feedbacks = [], [], []
+    by_kind = {"task": tasks.append, "dep": deps.append, "feedback": feedbacks.append}
+    cyclic = False
+    for fields in map(str.split, text.splitlines()):
+        if not fields:
+            continue
+        add = by_kind.get(fields[0])
+        if add is not None:
+            add(fields)
+        elif fields == ["cyclic"]:
+            cyclic = True
+        elif fields[0][0] != "#":
+            return None
+    n = len(tasks)
+    shapes = set(map(len, tasks))
+    if not n or not shapes <= {4, 5}:
+        return None
+    ids = _int_column([f[1] for f in tasks])
+    durations = _int_column([f[3] for f in tasks])
+    if 5 in shapes:
+        ready = _int_column([f[4] if len(f) == 5 else "0" for f in tasks])
+    else:
+        ready = [0] * n
+    if ids is None or durations is None or ready is None:
+        return None
+    if min(durations) < 0 or min(ready) < 0 or sorted(ids) != list(range(n)):
+        return None
+    names = [f[2] for f in tasks]
+    if ids != list(range(n)):
+        at = sorted(range(n), key=ids.__getitem__)  # the file index of each id
+        names, durations, ready = ([col[i] for i in at] for col in (names, durations, ready))
+    edges = _edge_columns(deps, {3, 4}, durations), _edge_columns(feedbacks, {4}, durations)
+    if None in edges:
+        return None
+    (src, dst, lag), (fb_src, fb_dst, fb_lag) = edges
+    g = TaskGraph(cyclic=cyclic or bool(feedbacks))
+    g.names, g.durations, g.ready = names, durations, ready
+    g.src, g.dst, g.lag = src + fb_src, dst + fb_dst, lag + fb_lag
+    g.feedback = [False] * len(deps) + [True] * len(feedbacks)
+    return g
+
+
+def _edge_columns(records: list[list[str]], shapes: set[int], durations: list[int]):
+    """(src, dst, lag) columns of the dep or feedback records, each of one of
+    the field counts in ``shapes``, or None when a check fails. An id must
+    name a task and a lag be non-negative; a record of 3 fields takes its
+    source's duration as lag."""
+    seen = set(map(len, records))
+    if not seen <= shapes:
+        return None
+    src = _int_column([f[1] for f in records])
+    dst = _int_column([f[2] for f in records])
+    if src is None or dst is None:
+        return None
+    n = len(durations)
+    if records and not (min(src) >= 0 and min(dst) >= 0 and max(src) < n and max(dst) < n):
+        return None
+    lag = [durations[u] for u in src]
+    if 4 in seen:
+        given = _int_column([f[3] for f in records if len(f) == 4])
+        if given is None or min(given) < 0:
+            return None
+        given = iter(given)
+        lag = [next(given) if len(f) == 4 else t for f, t in zip(records, lag)]
+    return src, dst, lag
+
+
+def _schedule_lines(text: str) -> TaskGraph:
+    """Parse a schedule file one line at a time; raises at the first bad line."""
     tasks: dict[int, tuple[str, int, int]] = {}
     deps: list[tuple[int, int, int | None, int]] = []
     feedbacks: list[tuple[int, int, int, int]] = []
@@ -386,6 +495,8 @@ def parse_schedule(text: str) -> TaskGraph:
                  lineno)
             )
         elif kind == "cyclic":
+            if len(fields) != 1:
+                raise GraphParseError("cyclic record takes no arguments", lineno)
             cyclic = True
         else:
             raise GraphParseError(f"unknown record type {kind!r}", lineno)

@@ -19,6 +19,13 @@ edge list.
 
 Every start and completion must lie in [0, FINITE_MAX]; ``solve`` raises
 SaturationError for a time outside it rather than return a saturated one.
+
+A TaskGraph keeps its edges as columns of Python ints. The int64 arrays of
+``_edges`` are built from them on first use and kept on the graph until a
+mutator drops them, so ``solve``, ``critical_path`` and ``cycle_time`` on one
+graph state share one build. A lag past POS_INF is refused by ``solve`` and
+``cycle_time`` as the constraint matrix refuses it, named from the Python
+column, so a lag past the int64 range is named as given too.
 """
 
 from __future__ import annotations
@@ -53,20 +60,40 @@ class ScheduleResult:
 
 
 class TaskGraph:
-    """Mutable task-graph builder; solve() snapshots are immutable, and any
-    change drops the one that critical_path(g) reads."""
+    """Mutable task-graph builder; solve() snapshots are immutable.
+
+    The edges are kept as columns in the order they were added: ``src``,
+    ``dst`` and ``lag`` hold Python ints and ``feedback`` a flag per edge.
+    ``edges`` reads them back as ``_Edge`` values. The int64 arrays that
+    ``solve``, ``critical_path`` and ``cycle_time`` read are built from the
+    columns on first use and kept until the graph changes: ``add_task``,
+    ``add_constraint`` and ``add_feedback`` drop them, together with the
+    last solve, which critical_path(g) reads. A refused change drops
+    neither.
+    """
 
     def __init__(self, cyclic: bool = False):
         self.cyclic = cyclic
         self.names: list[str] = []
         self.durations: list[int] = []
         self.ready: list[int] = []
-        self.edges: list[_Edge] = []
-        self._last_result: ScheduleResult | None = None
+        self.src: list[int] = []
+        self.dst: list[int] = []
+        self.lag: list[int] = []
+        self.feedback: list[bool] = []
+        self._changed()
+
+    def _changed(self) -> None:
+        self._last_result = None
+        self._arrays = None
 
     @property
     def n(self) -> int:
         return len(self.names)
+
+    @property
+    def edges(self) -> list[_Edge]:
+        return list(map(_Edge, self.src, self.dst, self.lag, self.feedback))
 
     def add_task(self, name: str, duration: int, ready: int = 0) -> int:
         duration, ready = operator.index(duration), operator.index(ready)
@@ -77,7 +104,7 @@ class TaskGraph:
         self.names.append(name)
         self.durations.append(duration)
         self.ready.append(ready)
-        self._last_result = None
+        self._changed()
         return self.n - 1
 
     def _check_id(self, t: int) -> int:
@@ -86,31 +113,57 @@ class TaskGraph:
             raise ValueError(f"task id {t} out of range (have {self.n} tasks)")
         return t
 
+    def _add_edge(self, src: int, dst: int, lag: int, feedback: bool) -> None:
+        if lag < 0:
+            raise ValueError("lag must be non-negative")
+        self.src.append(src)
+        self.dst.append(dst)
+        self.lag.append(lag)
+        self.feedback.append(feedback)
+        self._changed()
+
     def add_constraint(self, src: int, dst: int, lag: int | None = None) -> None:
         """Require start_dst >= start_src + lag; lag defaults to duration(src)."""
         src, dst = self._check_id(src), self._check_id(dst)
         lag = self.durations[src] if lag is None else operator.index(lag)
-        if lag < 0:
-            raise ValueError("lag must be non-negative")
-        self.edges.append(_Edge(src, dst, lag))
-        self._last_result = None
+        self._add_edge(src, dst, lag, False)
 
     def add_feedback(self, src: int, dst: int, lag: int) -> None:
         """Declare a feedback edge for a repeating system; implies cyclic."""
         src, dst = self._check_id(src), self._check_id(dst)
-        lag = operator.index(lag)
-        if lag < 0:
-            raise ValueError("lag must be non-negative")
-        self.edges.append(_Edge(src, dst, lag, feedback=True))
+        self._add_edge(src, dst, operator.index(lag), True)
         self.cyclic = True
-        self._last_result = None
+
+
+# a lag past this is held as this in the int64 edge arrays; solve and
+# cycle_time refuse every lag past POS_INF, naming it from the Python column
+_LAG_CAP = 1 << 62
 
 
 def _edges(g: TaskGraph, include_feedback: bool = False):
-    """Source, target and lag arrays of the edges; feedback edges only when
-    asked for."""
-    edges = [(e.src, e.dst, e.lag) for e in g.edges if include_feedback or not e.feedback]
-    return np.array(edges, dtype=np.int64).reshape(-1, 3).T
+    """Source, target and lag arrays of the edges, read-only; feedback edges
+    only when asked for. Built once per graph state and kept on the graph."""
+    if g._arrays is None:
+        lag = g.lag
+        if max(lag, default=0) > _LAG_CAP:
+            lag = [min(t, _LAG_CAP) for t in lag]
+        every = np.array((g.src, g.dst, lag), dtype=np.int64)
+        plain = every[:, ~np.array(g.feedback, dtype=bool)] if any(g.feedback) else every
+        every.flags.writeable = plain.flags.writeable = False
+        g._arrays = every, plain
+    return g._arrays[0 if include_feedback else 1]
+
+
+def _wide_lag(g: TaskGraph, include_feedback: bool) -> ValueError:
+    """The constraint matrix's refusal of a lag past POS_INF: that of the
+    first task pair holding one, in row-major order, and within it of the
+    largest lag, named as given."""
+    bad = [
+        (u * g.n + v, -lag)
+        for u, v, lag, feedback in zip(g.src, g.dst, g.lag, g.feedback)
+        if lag > POS_INF and (include_feedback or not feedback)
+    ]
+    return ValueError(f"value {-min(bad)[1]} outside the 32-bit tropical range")
 
 
 def _constraint_matrix(n: int, src, dst, lag) -> DenseMatrix:
@@ -145,6 +198,8 @@ def solve(g: TaskGraph, start_time: int = 0) -> ScheduleResult:
     src, dst, lag = _edges(g)
     order = structure.edge_order(_check_acyclic(g, src, dst), src)
     src, dst, lag = src[order], dst[order], lag[order]
+    if lag.max(initial=0) > POS_INF:
+        raise _wide_lag(g, include_feedback=False)
     a = _constraint_matrix(g.n, src, dst, lag)
     ready = [r + start_time for r in g.ready]
     _check_times(g, "start", ready)
@@ -237,12 +292,8 @@ def cycle_time(g: TaskGraph) -> CycleMean:
     if g.n == 0:
         raise ValueError("task graph has no tasks")
     src, dst, lag = _edges(g, include_feedback=True)
-    bad = lag > POS_INF
-    if bad.any():
-        # as the constraint matrix: the largest lag of the first bad pair
-        key = src * g.n + dst
-        first = key == key[bad].min()
-        raise ValueError(f"value {lag[first].max()} outside the 32-bit tropical range")
+    if lag.max(initial=0) > POS_INF:
+        raise _wide_lag(g, include_feedback=True)
     lam = _max_cycle_mean_edges(g.n, src, dst, lag)
     if lam is None:
         raise NoCycleError("constraint graph has no cycle")

@@ -585,6 +585,28 @@ def test_bench_schedule(capsys):
     assert code == 2 and "guard is 59" in err
 
 
+def test_bench_parse_schedule(capsys):
+    from tropical import bench, io as tio
+
+    code, payload, err = invoke_json(
+        capsys, "bench", "--op", "parse-schedule", "--size", "60", "--reps", "2"
+    )
+    assert code == 0, err
+    assert payload["op"] == "parse-schedule" and len(payload["elapsed_us"]) == 2
+    assert isinstance(payload["output_checksum"], int)
+    # the text of the schedule benchmark's graph, parsed back into that graph:
+    # the CRC-32 of its int64 durations, then of its sources, targets and lags
+    g = bench.random_task_graph(60, np.random.default_rng(0))
+    text = bench.schedule_text(g)
+    assert payload["checksum"] == zlib.crc32(text.encode())
+    assert text.startswith("task 0 t0 ") and "\ndep 0 1\n" in text
+    assert tio.parse_schedule(text).edges == g.edges
+    durations = np.array(g.durations, dtype=np.int64).tobytes()
+    edges = np.array((g.src, g.dst, g.lag), dtype=np.int64).tobytes()
+    assert payload["output_checksum"] == zlib.crc32(edges, zlib.crc32(durations))
+    assert payload["mops"] == pytest.approx((60 + len(g.src)) / payload["mean_us"], abs=2e-3)
+
+
 def test_text_json_parity(fixtures, capsys):
     # the two renderings must carry identical numeric content, field by field
     _, out, _ = invoke(capsys, "sssp", str(fixtures / "chain3_minplus.graph"), "--source", "0")

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -238,3 +239,200 @@ def test_cli_names_the_line_of_a_bad_record(tmp_path, capsys, command, text, mes
     assert run([command, str(path)]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+# -- the column parse of schedule files against the line loop ----------------
+
+def _reference_int(tok, what, lineno):
+    if not re.fullmatch(r"-?[0-9]+", tok):
+        raise GraphParseError(f"{what} {tok!r} is not an integer", lineno)
+    return int(tok)
+
+
+def reference_parse_schedule(text):
+    """The line-by-line schedule parse, record by record and add_* call by
+    call, as io.parse_schedule ran before it read columns; plus the rule that
+    a cyclic record takes no arguments."""
+    tasks, deps, feedbacks = {}, [], []
+    cyclic = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        kind = fields[0]
+        if kind == "task":
+            if len(fields) not in (4, 5):
+                raise GraphParseError(
+                    "task record must be 'task <id> <name> <duration> [ready]'", lineno
+                )
+            tid = _reference_int(fields[1], "task id", lineno)
+            duration = _reference_int(fields[3], "duration", lineno)
+            ready = _reference_int(fields[4], "ready time", lineno) if len(fields) == 5 else 0
+            if duration < 0:
+                raise GraphParseError("duration must be non-negative", lineno)
+            if ready < 0:
+                raise GraphParseError("ready time must be non-negative", lineno)
+            if tid in tasks:
+                raise GraphParseError(f"duplicate task id {tid}", lineno)
+            tasks[tid] = (fields[2], duration, ready)
+        elif kind == "dep":
+            if len(fields) not in (3, 4):
+                raise GraphParseError("dep record must be 'dep <from> <to> [lag]'", lineno)
+            lag = _reference_int(fields[3], "lag", lineno) if len(fields) == 4 else None
+            deps.append(
+                (_reference_int(fields[1], "task id", lineno),
+                 _reference_int(fields[2], "task id", lineno),
+                 lag,
+                 lineno)
+            )
+        elif kind == "feedback":
+            if len(fields) != 4:
+                raise GraphParseError(
+                    "feedback record must be 'feedback <from> <to> <lag>'", lineno
+                )
+            feedbacks.append(
+                (_reference_int(fields[1], "task id", lineno),
+                 _reference_int(fields[2], "task id", lineno),
+                 _reference_int(fields[3], "lag", lineno),
+                 lineno)
+            )
+        elif kind == "cyclic":
+            if len(fields) != 1:
+                raise GraphParseError("cyclic record takes no arguments", lineno)
+            cyclic = True
+        else:
+            raise GraphParseError(f"unknown record type {kind!r}", lineno)
+    if not tasks:
+        raise GraphParseError("schedule file declares no tasks")
+    n = len(tasks)
+    if sorted(tasks) != list(range(n)):
+        raise GraphParseError(f"task ids must be dense 0..{n - 1}")
+    g = tr.TaskGraph(cyclic=cyclic)
+    for tid in range(n):
+        name, duration, ready = tasks[tid]
+        g.add_task(name, duration, ready)
+    for src, dst, lag, lineno in deps:
+        try:
+            g.add_constraint(src, dst, lag)
+        except ValueError as exc:
+            raise GraphParseError(str(exc), lineno) from None
+    for src, dst, lag, lineno in feedbacks:
+        try:
+            g.add_feedback(src, dst, lag)
+        except ValueError as exc:
+            raise GraphParseError(str(exc), lineno) from None
+    return g
+
+
+# one bad record of each kind, as the fields of its line; n is the task count
+BAD_RECORDS = {
+    "task-arity": lambda n, rng: ["task", str(n), "x"],
+    "task-wide": lambda n, rng: ["task", str(n), "x", "1", "0", "7"],
+    "task-id": lambda n, rng: ["task", rng.choice(["+1", "1_0", "٣", "x", "-"]), "x", "1"],
+    "duration-token": lambda n, rng: ["task", str(n), "x", rng.choice(["1.5", "+3", "inf"])],
+    "negative-duration": lambda n, rng: ["task", str(n), "x", "-4"],
+    "negative-ready": lambda n, rng: ["task", str(n), "x", "4", "-1"],
+    "ready-token": lambda n, rng: ["task", str(n), "x", "4", "0x1"],
+    "duplicate-id": lambda n, rng: ["task", str(rng.randrange(n)), "x", "4"],
+    "sparse-id": lambda n, rng: ["task", str(n + 1), "x", "4"],
+    "negative-id": lambda n, rng: ["task", "-1", "x", "4"],
+    "dep-arity": lambda n, rng: ["dep", "0"],
+    "dep-wide": lambda n, rng: ["dep", "0", "1", "2", "3"],
+    "dep-token": lambda n, rng: ["dep", "0", rng.choice(["one", "+1", "٣"])],
+    "dep-lag-token": lambda n, rng: ["dep", "0", "0", rng.choice(["x", "1e3"])],
+    "dep-range": lambda n, rng: ["dep", str(rng.randrange(n)), str(n + rng.randrange(3))],
+    "dep-negative-id": lambda n, rng: ["dep", "-1", "0"],
+    "dep-negative-lag": lambda n, rng: ["dep", "0", str(rng.randrange(n)), "-2"],
+    "feedback-arity": lambda n, rng: ["feedback", "0", "1"],
+    "feedback-token": lambda n, rng: ["feedback", "0", "0", "z"],
+    "feedback-range": lambda n, rng: ["feedback", str(n), "0", "1"],
+    "feedback-negative-lag": lambda n, rng: ["feedback", "0", "0", "-3"],
+    "unknown-kind": lambda n, rng: [rng.choice(["wat", "Task", "deps", "-"]), "1"],
+    "cyclic-arguments": lambda n, rng: ["cyclic", rng.choice(["junk", "1", "#"])],
+    "too-many-digits": lambda n, rng: ["task", str(n), "x", "9" * 5000],
+}
+
+
+def schedule_text(rng, bad=()):
+    """A schedule file of 1-8 tasks declared in a random order, with optional
+    ready times and lags, feedback and cyclic records, comments and blank
+    lines, tabs and wide gaps, and '\\n' or '\\r\\n' breaks; ``bad`` names
+    records of BAD_RECORDS, each put at a random line."""
+    n = rng.randint(1, 8)
+    records = []
+    for t in rng.sample(range(n), n):
+        fields = ["task", str(t), rng.choice(["a", "#x", "task", "dep", f"t{t}", "é"]),
+                  str(rng.choice([0, 1, 5, 99, 2**40]))]
+        if rng.random() < 0.3:
+            fields.append(str(rng.choice([0, 3, 7])))
+        records.append(fields)
+    for _ in range(rng.randint(0, 2 * n)):
+        u, v = sorted(rng.sample(range(n), 2)) if n > 1 else (0, 0)
+        fields = ["dep", str(u), str(v)]
+        if rng.random() < 0.4:
+            fields.append(str(rng.choice([0, 2, 10, 2**33])))
+        records.insert(rng.randint(0, len(records)), fields)
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        records.insert(rng.randint(0, len(records)), [
+            "feedback", str(rng.randrange(n)), str(rng.randrange(n)), str(rng.randrange(9))
+        ])
+    if rng.random() < 0.3:
+        records.insert(rng.randint(0, len(records)), ["cyclic"])
+    for kind in bad:
+        records.insert(rng.randint(0, len(records)), BAD_RECORDS[kind](n, rng))
+    lines = []
+    for fields in records:
+        while rng.random() < 0.2:
+            lines.append(rng.choice(["", "  ", "# note", "\t# task 0 a 1", "#", "#dep 0 9"]))
+        gap = rng.choice([" ", " ", "\t", "   ", " \t "])
+        lines.append(rng.choice(["", " ", "\t"]) + gap.join(fields) + rng.choice(["", " ", "\t"]))
+    return rng.choice(["\n", "\r\n"]).join(lines) + rng.choice(["", "\n", "\r\n"])
+
+
+def outcome(parse, text):
+    try:
+        g = parse(text)
+    except (GraphParseError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return g.names, g.durations, g.ready, g.edges, g.cyclic
+
+
+def test_schedule_columns_match_the_line_loop(monkeypatch):
+    from tropical import io as tio
+
+    loop = tio._schedule_lines
+    calls = []
+    monkeypatch.setattr(tio, "_schedule_lines", lambda text: calls.append(text) or loop(text))
+    rng = random.Random(24)
+    # a third of the files hold no bad record, the others one of each kind
+    # in turn, and some of them a second one of any kind
+    kinds = [None] * (len(BAD_RECORDS) // 2) + sorted(BAD_RECORDS)
+    refused = 0
+    for case in range(1500):
+        bad = [] if kinds[case % len(kinds)] is None else [kinds[case % len(kinds)]]
+        if bad and rng.random() < 0.3:
+            bad.append(rng.choice(sorted(BAD_RECORDS)))
+        text = schedule_text(rng, bad)
+        expected = outcome(reference_parse_schedule, text)
+        assert outcome(tr.parse_schedule, text) == expected, text
+        if isinstance(expected[0], type):
+            refused += 1
+        # only a file the loop refuses takes the loop
+        assert calls == ([text] if isinstance(expected[0], type) else []), text
+        calls.clear()
+    assert 900 < refused < 1100
+
+
+def test_a_cyclic_record_with_arguments_is_refused(tmp_path, capsys):
+    text = "task 0 a 1\n# the next line was read as cyclic\ncyclic junk 7\n"
+    with pytest.raises(GraphParseError) as exc:
+        tr.parse_schedule(text)
+    assert (str(exc.value), exc.value.line) == (
+        "line 3: cyclic record takes no arguments", 3
+    )
+    path = tmp_path / "cyclic.sched"
+    path.write_text(text)
+    assert run(["schedule", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: line 3: cyclic record takes no arguments\n")
+    assert tr.parse_schedule("task 0 a 1\n  cyclic \n").cyclic

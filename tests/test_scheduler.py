@@ -752,3 +752,139 @@ def test_task_graph_takes_numpy_integers_as_python_ints():
 def test_an_empty_task_graph_is_refused(call):
     with pytest.raises(ValueError, match="^task graph has no tasks$"):
         call(TaskGraph())
+
+
+WIDE = 10**20
+WIDE_LAG_FILES = {
+    "dep-lag": f"task 0 a 1\ntask 1 b 1\ndep 0 1 {WIDE}\n",
+    "default-lag": f"task 0 a {WIDE}\ntask 1 b 1\ndep 0 1\n",
+    "feedback-lag": f"task 0 a 1\ntask 1 b 1\ndep 0 1\nfeedback 1 0 {WIDE}\n",
+}
+
+
+@pytest.mark.parametrize("wide", [WIDE, 2**40], ids=["past-int64", "2^40"])
+@pytest.mark.parametrize("case", sorted(WIDE_LAG_FILES))
+def test_a_lag_past_int64_is_named_as_given(case, wide, tmp_path, capsys):
+    # a lag past int64 is refused where a lag of 2^40 is, naming the number
+    from tropical.cli import run
+
+    text = WIDE_LAG_FILES[case].replace(str(WIDE), str(wide))
+    message = f"value {wide} outside the 32-bit tropical range"
+    g = tr.parse_schedule(text)
+    if case == "feedback-lag":
+        # feedback edges stay out of the solve; the cycle time refuses the lag
+        tr.critical_path(g, tr.solve(g))
+        call = tr.cycle_time
+    else:
+        call = tr.solve
+    with pytest.raises(ValueError) as exc:
+        call(g)
+    assert str(exc.value) == message
+    path = tmp_path / "wide.sched"
+    path.write_text(text)
+    assert run(["schedule", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_the_first_wide_lag_is_named_from_the_python_ints():
+    # row-major first task pair, and within it the largest lag, as the matrix
+    g = chained([1, 1, 1])
+    g.add_constraint(1, 2, 2**70)
+    g.add_constraint(0, 2, 2**64 + 1)
+    g.add_constraint(0, 2, 2**65)
+    g.add_constraint(0, 2, 2**31)
+    g.add_feedback(0, 1, 2**80)
+    with pytest.raises(ValueError, match=f"^value {2**65} outside"):
+        tr.solve(g)
+    with pytest.raises(ValueError, match=f"^value {2**80} outside"):
+        tr.cycle_time(g)
+
+
+def cache_graph():
+    """a -> c with a's duration as lag, c -> a as a zero-lag feedback edge."""
+    g = TaskGraph()
+    a, b, c = g.add_task("a", 5), g.add_task("b", 1), g.add_task("c", 2)
+    g.add_constraint(a, c)
+    g.add_feedback(c, a, 0)
+    return g
+
+
+def test_the_edge_arrays_are_built_once_per_graph_state():
+    g = cache_graph()
+    r = tr.solve(g)
+    arrays = g._arrays
+    assert arrays is not None
+    tr.critical_path(g, r)
+    tr.cycle_time(g)
+    tr.solve(g)
+    assert g._arrays is arrays
+    plain, every = scheduler._edges(g), scheduler._edges(g, include_feedback=True)
+    assert plain.tolist() == [[0], [2], [5]]
+    assert every.tolist() == [[0, 2], [2, 0], [5, 0]]
+    assert not plain.flags.writeable and not every.flags.writeable
+
+
+@pytest.mark.parametrize("change", ["add_task", "add_constraint", "add_feedback"])
+def test_each_change_reaches_the_next_solve_critical_path_and_cycle_time(change):
+    g = cache_graph()
+    r = tr.solve(g)
+    assert (r.start, tr.critical_path(g), tr.cycle_time(g)) == (
+        [0, 0, 5], [0, 2], CycleMean(5, 2)
+    )
+    arrays = g._arrays
+    if change == "add_task":
+        d = g.add_task("d", 9, 1)
+        # d's own constraint needs it in the graph first
+        expected = ([0, 0, 5, 1], [3], CycleMean(5, 2))
+    elif change == "add_constraint":
+        g.add_constraint(1, 2, 9)
+        expected = ([0, 0, 9], [1, 2], CycleMean(5, 2))
+    else:
+        g.add_feedback(2, 0, 4)
+        expected = ([0, 0, 5], [0, 2], CycleMean(9, 2))
+    assert g._arrays is None
+    with pytest.raises(ValueError, match="requires a completed solve"):
+        tr.critical_path(g)
+    r = tr.solve(g)
+    assert (r.start, tr.critical_path(g), tr.cycle_time(g)) == expected
+    assert g._arrays is not arrays
+    if change == "add_task":
+        g.add_constraint(0, d)
+        assert tr.solve(g).start == [0, 0, 5, 5]
+        assert tr.critical_path(g) == [0, 3]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: g.add_task("x", -1),
+        lambda g: g.add_task("x", 1, 2.5),
+        lambda g: g.add_constraint(0, 3),
+        lambda g: g.add_constraint(-1, 0),
+        lambda g: g.add_constraint(0, 1, -1),
+        lambda g: g.add_constraint(0, 1, 1.5),
+        lambda g: g.add_feedback(0, 7, 1),
+        lambda g: g.add_feedback(0, 1, -2),
+        lambda g: g.add_feedback(0, 1, None),
+    ],
+)
+def test_a_refused_change_keeps_the_edges_and_their_arrays(call):
+    g = cache_graph()
+    r = tr.solve(g)
+    edges, arrays = g.edges, g._arrays
+    with pytest.raises((ValueError, TypeError)):
+        call(g)
+    assert g.edges == edges and g._arrays is arrays and g._last_result is r
+
+
+@pytest.mark.parametrize("built", ["add", "parsed"])
+def test_edges_are_edge_values_of_python_ints(built):
+    if built == "add":
+        g = cache_graph()
+    else:
+        g = tr.parse_schedule("task 2 c 2\ntask 0 a 5\ntask 1 b 1\ndep 0 2\nfeedback 2 0 0\n")
+    assert g.edges == [scheduler._Edge(0, 2, 5), scheduler._Edge(2, 0, 0, feedback=True)]
+    for e in g.edges:
+        assert [type(v) for v in (e.src, e.dst, e.lag, e.feedback)] == [int, int, int, bool]
+    with pytest.raises(AttributeError):
+        g.edges = []
