@@ -7,7 +7,13 @@ operations for an n x n product or closure sweep, 2*n^2 for a matrix-vector
 product, 2*m for ``sssp`` on a graph of m edges, and 2*n*m for ``eig``
 (``max_cycle_mean``) on a strongly connected graph of n vertices and m
 distinct edges. The ``sssp`` count is one relaxation sweep over the edges,
-so its MOPS is an edge throughput, not a count of the rounds run. The
+so its MOPS is an edge throughput, not a count of the rounds run.
+``bellman-ford`` is the paper's baseline for ``sssp``, min-plus only: the
+textbook scalar Bellman-Ford (``bellman_ford``) on the edges of the same
+graph from the same source, relaxing every edge in Python each round and
+stopping at the first round that changes nothing. It counts 2m as ``sssp``
+does, so the two MOPS compare directly, and its ``output_checksum`` equals
+that of ``sssp``. The
 ``eig`` count is Karp-equivalent work, n rounds that each relax every edge
 with one add and one max, kept so that MOPS compares across runs;
 ``max_cycle_mean`` itself runs Howard policy iteration (a few rounds over
@@ -65,11 +71,11 @@ import numpy as np
 from . import dense, graph, scheduler, sparse, spectral, structure
 from .dense import DenseMatrix
 from .io import format_array, parse_graph, parse_schedule
-from .semiring import TOKEN_OF, SemiringId
+from .semiring import POS_INF, TOKEN_OF, SemiringId
 
 BENCH_OPS = (
-    "matmul", "matvec", "closure", "sssp", "eig", "eigvec", "schedule", "render", "parse",
-    "parse-schedule",
+    "matmul", "matvec", "closure", "sssp", "bellman-ford", "eig", "eigvec", "schedule", "render",
+    "parse", "parse-schedule",
 )
 BENCH_INPUTS = ("uniform", "graph", "convergent")
 
@@ -210,6 +216,24 @@ def schedule_text(g: scheduler.TaskGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def bellman_ford(n: int, edges: list[tuple[int, int, int]], source: int) -> list[int]:
+    """Min-plus distances from source by textbook Bellman-Ford in plain
+    Python: each round relaxes every edge (u, v, w) in turn, for at most
+    n - 1 rounds, stopping at the first round that changes nothing. POS_INF
+    marks an unreachable vertex. No cycle may be negative."""
+    dist = [POS_INF] * n
+    dist[source] = 0
+    for _ in range(n - 1):
+        changed = False
+        for u, v, w in edges:
+            if dist[u] != POS_INF and dist[u] + w < dist[v]:
+                dist[v] = dist[u] + w
+                changed = True
+        if not changed:
+            break
+    return dist
+
+
 def _crc32(*arrays: np.ndarray) -> int:
     checksum = 0
     for arr in arrays:
@@ -284,11 +308,17 @@ def run_bench(
             checksum = zlib.crc32(text.encode())
             work = lambda: parse_schedule(text)
             ops = g.n + len(g.edges)
-    elif op == "sssp":
+    elif op in ("sssp", "bellman-ford"):
+        if op == "bellman-ford" and s is not SemiringId.MINPLUS:
+            raise ValueError(f"the {op} benchmark requires the minplus semiring")
         g = random_graph(n, s, rng)
         source = int(rng.integers(n))
         checksum = _crc32(g.row_ptr, g.col_idx, g.values)
-        work = lambda: graph.sssp(g, source, s)
+        if op == "sssp":
+            work = lambda: graph.sssp(g, source, s)
+        else:
+            edges = list(zip(*(e.tolist() for e in sparse.edges(g, s))))
+            work = lambda: bellman_ford(n, edges, source)
         ops = 2 * g.nnz
     elif op == "parse":
         u, v, w = graph_edges(n, s, rng)

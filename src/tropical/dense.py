@@ -202,17 +202,27 @@ def _wide_zero(w: np.ndarray, s: SemiringId) -> np.ndarray:
 
 
 def _decode(w: np.ndarray, s: SemiringId) -> np.ndarray:
-    """int32 values of a wide-encoded plus-semiring array, clipping w in
-    place: entries beyond the cut are zero(s), the rest clip to
+    """Decode a wide-encoded plus-semiring array in place and return it:
+    entries beyond the cut become zero(s), the rest clip to
     [FINITE_MIN, FINITE_MAX]."""
     zero = _wide_zero(w, s)
-    out = np.clip(w, _LO, _HI, out=w).astype(_I32)
-    out[zero] = sr.zero(s)
-    return out
+    np.clip(w, _LO, _HI, out=w)
+    w[zero] = sr.zero(s)
+    return w
 
 
-def _vector_product(x: np.ndarray, arr: np.ndarray, s: SemiringId) -> list[int]:
-    """y_j = (+)_i x_i (x) arr[i, j].
+def _check_out(out: np.ndarray, n: int) -> None:
+    """Refuse a product's out buffer unless it is a 1-D int64 array of n
+    entries; nothing is written before this check."""
+    if not isinstance(out, np.ndarray) or out.dtype != _I64 or out.shape != (n,):
+        raise ValueError(f"out must be a 1-D int64 array of {n} entries")
+
+
+def _vector_product(
+    x: np.ndarray, arr: np.ndarray, s: SemiringId, out: np.ndarray | None = None
+):
+    """y_j = (+)_i x_i (x) arr[i, j]: every y_j written into out when it is
+    given, which is returned; else a list.
 
     A row whose x_i is zero(s) contributes zero(s), the identity of (+), so
     only the live rows are gathered. Under min-plus and max-plus the live
@@ -224,11 +234,13 @@ def _vector_product(x: np.ndarray, arr: np.ndarray, s: SemiringId) -> list[int]:
     live = np.flatnonzero(x != zero)
     if live.size < x.size:
         x, arr = x[live], arr[live]
-    if s not in _WIDE_ZERO:
-        return add.reduce(mul(arr, x[:, None]), axis=0, initial=zero).tolist()
-    prod = arr + x[:, None].astype(_I64)
-    y = add.reduce(prod, axis=0, where=arr != zero, initial=_WIDE_ZERO[s])
-    return _decode(y, s).tolist()
+    if s in _WIDE_ZERO:
+        prod = arr + x[:, None].astype(_I64)
+        y = add.reduce(prod, axis=0, where=arr != zero, initial=_WIDE_ZERO[s], out=out)
+        _decode(y, s)
+    else:
+        y = add.reduce(mul(arr, x[:, None]), axis=0, initial=zero, out=out)
+    return y.tolist() if out is None else y
 
 
 # Elements of one row chunk of the matmul accumulator, and of its product
@@ -260,7 +272,7 @@ def matmul(a: DenseMatrix, b: DenseMatrix, s: SemiringId) -> DenseMatrix:
         for k in range(1, a.cols):
             mul(cols[k][:, None], rhs[k], out=tmp)
             add(part, tmp, out=part)
-    return DenseMatrix._wrap(_decode(out, s) if wide else out)
+    return DenseMatrix._wrap(_decode(out, s).astype(_I32) if wide else out)
 
 
 def matvec(a: DenseMatrix, x: Sequence[int], s: SemiringId) -> list[int]:
@@ -271,12 +283,21 @@ def matvec(a: DenseMatrix, x: Sequence[int], s: SemiringId) -> list[int]:
     return _vector_product(xv, a._arr.T, s)
 
 
-def vecmat(x: Sequence[int], a: DenseMatrix, s: SemiringId) -> list[int]:
-    """y_j = (+)_i x_i (x) A_ij (the transpose-orientation product)."""
+def vecmat(
+    x: Sequence[int], a: DenseMatrix, s: SemiringId, out: np.ndarray | None = None
+) -> list[int] | np.ndarray:
+    """y_j = (+)_i x_i (x) A_ij (the transpose-orientation product).
+
+    With ``out``, a 1-D int64 array of A's column count, every y_j is
+    written into it and out is returned; else y is a new list. A wrong
+    ``out`` raises ValueError before anything is written.
+    """
+    if out is not None:
+        _check_out(out, a.cols)
     xv = _check_vector(x)
     if a.rows != xv.shape[0]:
         raise ValueError(f"matrix has {a.rows} rows but vector has {xv.shape[0]}")
-    return _vector_product(xv, a._arr, s)
+    return _vector_product(xv, a._arr, s, out)
 
 
 def matpow(a: DenseMatrix, k: int, s: SemiringId) -> DenseMatrix:

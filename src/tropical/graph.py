@@ -9,10 +9,11 @@ Dense and CSR ``sssp`` share one relaxation loop over arrays, ``relax``;
 only the per-round product differs: ``dense.vecmat`` with A, or
 ``sparse.spmv`` with A^T. ``sparse.transpose`` builds A^T once per call
 from one sort of A's entries. The scheduler runs no rounds: its graph is
-acyclic, and it substitutes forward in topological order. The products return lists, which ``relax``
-converts to int64 with the dtype given. The input type selects the product:
-the CLI parses sssp input into CSR, so its memory is O(n + m), and the dense
-branch serves a caller that already holds the grid.
+acyclic, and it substitutes forward in topological order. ``sssp``
+allocates one int64 buffer per call, and each round's product is written
+into it with ``out=``, so no round builds a list. The input type selects
+the product: the CLI parses sssp input into CSR, so its memory is O(n + m),
+and the dense branch serves a caller that already holds the grid.
 
 The CLI hands every graph command a CSR matrix. The weighted closures are
 dense sweeps, so ``all_pairs_paths`` lays a CSR input out as a grid with
@@ -58,12 +59,13 @@ def sssp(a: Matrix, source: int, s: SemiringId) -> list[int]:
     n = _square_size(a)
     if not 0 <= source < n:
         raise ValueError(f"source {source} out of range for {n} vertices")
+    buf = np.empty(n, dtype=np.int64)
     if isinstance(a, CsrMatrix):
         sparse.check_bound(a, s)
         at = sparse.transpose(a)
-        product = lambda x: sparse.spmv(at, x)
+        product = lambda x: sparse.spmv(at, x, out=buf)
     else:
-        product = lambda x: dense.vecmat(x, a, s)
+        product = lambda x: dense.vecmat(x, a, s, out=buf)
     z = sr.zero(s)
     d = np.full(n, z, dtype=np.int64)
     d[source] = sr.one(s)
@@ -122,8 +124,9 @@ def relax(d: np.ndarray, product, s: SemiringId, rounds: int):
     into d, and every round gives the d that a product of the whole vector
     would. The rounds stop at the first one that changes nothing. Returns d,
     the frontier of the last round (all zero(s) once d is stable) and the
-    number of rounds run. A product may return a list (``vecmat``, ``spmv``):
-    each round converts it with its dtype given, not found by inspection.
+    number of rounds run. ``sssp``'s product writes into one int64 buffer
+    that every round reuses; a product that returns a list (``vecmat`` or
+    ``spmv`` without ``out``) is converted with its dtype given.
     """
     z = sr.zero(s)
     add = dense.ADD_UFUNC[s]

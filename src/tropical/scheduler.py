@@ -9,8 +9,9 @@ Earliest start times are the least solution of s = b (+) (s vecmat A) over
 max-plus, b the ready times (Baccelli, Cohen, Olsder & Quadrat 1992). On an
 acyclic edge set it is solved by forward substitution, one topological
 level at a time, as a level-scheduled triangular solve: one ``vecmat`` per
-level multiplies the rows of that level's tasks, whose starts are final, so
-each task's row is multiplied once. ``iterations`` reports the rounds that
+level, written into one int64 buffer with ``out=``, multiplies the rows of
+that level's tasks, whose starts are final, so each task's row is
+multiplied once. ``iterations`` reports the rounds that
 Jacobi relaxation from b would run. Feedback edges (declared for cyclic,
 repeating systems) are excluded from this solve; they only enter the
 cycle-time / throughput analysis, where the minimum achievable period is
@@ -247,13 +248,13 @@ def _forward_substitute(floor: np.ndarray, a: DenseMatrix, levels) -> np.ndarray
     lies on a lower level, so the starts of a level are final once the levels
     below it are multiplied: one vecmat per level but the last, its vector
     holding that level's starts and NEG_INF elsewhere, multiplies each
-    task's row once."""
+    task's row once. Every product is written into one int64 buffer."""
     start = floor.copy()
     x = np.full(floor.size, NEG_INF, dtype=np.int64)
+    y = np.empty(floor.size, dtype=np.int64)
     for tasks in levels[:-1]:
         x[tasks] = start[tasks]
-        y = np.asarray(dense.vecmat(x, a, SemiringId.MAXPLUS), dtype=np.int64)
-        np.maximum(start, y, out=start)
+        np.maximum(start, dense.vecmat(x, a, SemiringId.MAXPLUS, out=y), out=start)
         x[tasks] = NEG_INF
     return start
 

@@ -27,7 +27,8 @@ import numpy as np
 
 from . import semiring as sr
 from .dense import (
-    _SWEEP_OPS, _WIDE_ZERO, ADD_UFUNC, DenseMatrix, _check_vector, _decode, _encode
+    _SWEEP_OPS, _WIDE_ZERO, ADD_UFUNC, DenseMatrix, _check_out, _check_vector, _decode,
+    _encode,
 )
 from .semiring import SemiringId
 
@@ -238,35 +239,47 @@ def transpose(a: CsrMatrix) -> CsrMatrix:
     )
 
 
-def spmv(a: CsrMatrix, x: Sequence[int]) -> list[int]:
-    """y_i = (+)_{stored j in row i} values (x) x[col]; O(nnz) multiplies."""
-    y, _ = spmv_instrumented(a, x)
+def spmv(
+    a: CsrMatrix, x: Sequence[int], out: np.ndarray | None = None
+) -> list[int] | np.ndarray:
+    """y_i = (+)_{stored j in row i} values (x) x[col]; O(nnz) multiplies.
+    With ``out`` (see ``spmv_instrumented``) y is written into it and out is
+    returned; else y is a new list."""
+    y, _ = spmv_instrumented(a, x, out)
     return y
 
 
-def spmv_instrumented(a: CsrMatrix, x: Sequence[int]) -> tuple[list[int], int]:
+def spmv_instrumented(
+    a: CsrMatrix, x: Sequence[int], out: np.ndarray | None = None
+) -> tuple[list[int] | np.ndarray, int]:
     """spmv plus the exact count of semiring multiplications performed.
 
     A gather of x, the (x), and a segment reduction over the non-empty rows;
-    empty rows stay zero(s). Min-plus and max-plus run on the wide encoding
+    empty rows get zero(s). Min-plus and max-plus run on the wide encoding
     (see ``dense._WIDE``); no stored value is zero(s), so only x is encoded.
+    ``out``, a 1-D int64 array of A's row count, takes every y_i, empty
+    rows included, and is returned in place of a new list. A wrong ``out``
+    raises ValueError before anything is written.
     """
     if len(x) != a.cols:
         raise ValueError(f"matrix has {a.cols} columns but vector has {len(x)}")
+    if out is not None:
+        _check_out(out, a.rows)
     xv = _check_vector(x)
     s = a.semiring
     mul, add = _SWEEP_OPS[s]
     wide = s in _WIDE_ZERO
     if wide:
         xv = _encode(xv, s)
-    y = np.full(a.rows, sr.zero(s), dtype=_I32)
+    y = np.empty(a.rows, dtype=_I64) if out is None else out
+    y.fill(sr.zero(s))
     if a.nnz:
-        prod = mul(a.values, xv[a.col_idx])
+        prod = mul(a.values, np.take(xv, a.col_idx))
         ptr = a.row_ptr.astype(_I64)
         nonempty = np.flatnonzero(ptr[1:] != ptr[:-1])
         fold = add.reduceat(prod, ptr[nonempty])
         y[nonempty] = _decode(fold, s) if wide else fold
-    return y.tolist(), a.nnz
+    return (y.tolist() if out is None else y), a.nnz
 
 
 # Products of one spmm block: a run of whole rows of A (or one row) whose

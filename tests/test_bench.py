@@ -3,7 +3,7 @@ import pytest
 
 import tropical as tr
 from tropical import SemiringId
-from tropical.bench import random_eig_graph, random_matrix, run_bench
+from tropical.bench import bellman_ford, random_eig_graph, random_matrix, run_bench
 
 
 def test_report_fields_and_ops_formula():
@@ -56,3 +56,23 @@ def test_eig_graph_and_report():
     assert r.checksum == run_bench("eig", 40, SemiringId.MAXPLUS, reps=1, seed=2).checksum
     with pytest.raises(ValueError):
         run_bench("eig", 40, SemiringId.MINPLUS, reps=1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 50, 200])
+def test_bellman_ford_has_the_checksums_of_sssp(n):
+    for seed in range(3):
+        want = run_bench("sssp", n, SemiringId.MINPLUS, reps=1, seed=seed)
+        got = run_bench("bellman-ford", n, SemiringId.MINPLUS, reps=2, seed=seed)
+        assert (got.checksum, got.output_checksum) == (want.checksum, want.output_checksum)
+        assert got.mops == pytest.approx(want.mops * want.mean_us / got.mean_us)
+
+
+def test_bellman_ford_distances_and_semiring_refusal():
+    # 0 -> 1 -> 2 with a shortcut 0 -> 2; vertex 3 is unreachable
+    edges = [(1, 2, 1), (0, 1, 4), (0, 2, 9)]
+    assert bellman_ford(4, edges, 0) == [0, 4, 5, tr.POS_INF]
+    assert bellman_ford(1, [], 0) == [0]
+    for s in SemiringId:
+        if s is not SemiringId.MINPLUS:
+            with pytest.raises(ValueError, match="requires the minplus semiring"):
+                run_bench("bellman-ford", 8, s, reps=1)

@@ -537,6 +537,22 @@ def test_bench_sssp(capsys):
     assert code == 0, err
 
 
+def test_bench_bellman_ford_matches_sssp(capsys):
+    # the scalar baseline on the graph and source of --op sssp: same input,
+    # same distances
+    runs = [
+        invoke_json(
+            capsys, "bench", "--op", op, "--size", "64", "--reps", "1", "--semiring", "minplus"
+        )
+        for op in ("bellman-ford", "sssp")
+    ]
+    (code, bf, _), (_, sssp, _) = runs
+    assert code == 0 and bf["op"] == "bellman-ford"
+    assert (bf["checksum"], bf["output_checksum"]) == (sssp["checksum"], sssp["output_checksum"])
+    code, _, err = invoke(capsys, "bench", "--op", "bellman-ford", "--size", "8")
+    assert (code, err) == (1, "error: the bellman-ford benchmark requires the minplus semiring\n")
+
+
 def test_bench_parse(capsys):
     code, payload, _ = invoke_json(
         capsys, "bench", "--op", "parse", "--size", "64", "--reps", "2",

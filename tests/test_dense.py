@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 import tropical as tr
@@ -169,6 +170,33 @@ def test_vecmat_examples():
     step = tr.vecmat(x, CHAIN3, SemiringId.MINPLUS)
     relaxed = [tr.add(u, v, SemiringId.MINPLUS) for u, v in zip(x, step)]
     assert relaxed == [0, 2, 7]
+
+
+@pytest.mark.parametrize("s", ALL)
+def test_vecmat_reused_buffer_is_overwritten_in_full(s):
+    rng = random.Random(6)
+    a = rand_matrix(rng, 3, 4, s)
+    out = np.full(4, 2**62, dtype=np.int64)
+    # the last x is all zero(s): no row is live, and every y_j is zero(s)
+    for x in ([tr.one(s), tr.zero(s), tr.one(s)], [tr.one(s)] * 3, [tr.zero(s)] * 3):
+        assert tr.vecmat(x, a, s, out=out) is out
+        assert out.tolist() == tr.vecmat_reference(x, a, s)
+        out[:] = -(2**62)
+
+
+def test_vecmat_refuses_a_wrong_out_before_writing():
+    for out in (
+        np.full(3, 9, dtype=np.int32),
+        np.full(3, 9, dtype=np.float64),
+        np.full(2, 9, dtype=np.int64),
+        np.full(4, 9, dtype=np.int64),
+        np.full((3, 1), 9, dtype=np.int64),
+    ):
+        with pytest.raises(ValueError, match="out must be"):
+            tr.vecmat([0, 0, 0], CHAIN3, SemiringId.MINPLUS, out=out)
+        assert (out == 9).all()
+    with pytest.raises(ValueError, match="out must be"):
+        tr.vecmat([0, 0, 0], CHAIN3, SemiringId.MINPLUS, out=[9] * 3)
 
 
 def test_matpow():

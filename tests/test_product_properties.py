@@ -48,6 +48,12 @@ def vector(draw, s, n):
     return draw(st.lists(st.one_of(values(s), st.just(tr.zero(s))), min_size=n, max_size=n))
 
 
+def stale(draw, n):
+    """An int64 out buffer of n leftover values from anywhere in its range."""
+    return np.array(draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n)),
+                    dtype=np.int64)
+
+
 def size(draw):
     return draw(st.integers(1, 8))
 
@@ -88,7 +94,12 @@ def test_matvec_and_vecmat_match_reference(s, data):
     x = vector(data.draw, s, n)
     assert tr.matvec(a, x, s) == tr.matvec_reference(a, x, s)
     y = vector(data.draw, s, m)
-    assert tr.vecmat(y, a, s) == tr.vecmat_reference(y, a, s)
+    want = tr.vecmat_reference(y, a, s)
+    assert tr.vecmat(y, a, s) == want
+    # into a buffer of stale values: every entry is overwritten
+    out = stale(data.draw, n)
+    assert tr.vecmat(y, a, s, out=out) is out
+    assert out.tolist() == want
 
 
 @pytest.mark.parametrize("s", ALL)
@@ -101,6 +112,10 @@ def test_spmv_matches_reference(s, data):
     y, mults = tr.spmv_instrumented(csr, x)
     assert y == tr.matvec_reference(tr.to_dense(csr), x, s)
     assert mults == csr.nnz
+    out = stale(data.draw, m)
+    got, count = tr.spmv_instrumented(csr, x, out=out)
+    assert got is out and count == csr.nnz
+    assert out.tolist() == y
 
 
 @pytest.mark.parametrize("s", [SemiringId.MINPLUS, SemiringId.MAXPLUS])

@@ -634,11 +634,11 @@ def test_solve_multiplies_each_task_row_once(build, monkeypatch):
     calls, live = 0, 0
     vecmat = dense.vecmat
 
-    def counting(x, a, s):
+    def counting(x, a, s, **kwargs):
         nonlocal calls, live
         calls += 1
         live += int(np.count_nonzero(np.asarray(x) != tr.NEG_INF))
-        return vecmat(x, a, s)
+        return vecmat(x, a, s, **kwargs)
 
     monkeypatch.setattr(dense, "vecmat", counting)
     r = tr.solve(g)

@@ -133,6 +133,40 @@ def test_spmv_empty_and_counts():
         tr.spmv(b, [0, 0])
 
 
+@pytest.mark.parametrize("s", ALL)
+def test_spmv_reused_buffer_is_overwritten_in_full(s):
+    # rows 0 and 2 store nothing: the stale values there become zero(s)
+    one = tr.one(s)
+    a = tr.from_triplets(4, 3, [(1, 0, one), (3, 2, one)], s)
+    out = np.full(4, 2**62, dtype=np.int64)
+    for x in ([one, tr.zero(s), one], [tr.zero(s)] * 3):
+        assert tr.spmv(a, x, out=out) is out
+        assert out.tolist() == tr.spmv(a, x)
+        out[:] = -(2**62)
+    empty = tr.from_triplets(2, 2, [], s)
+    assert tr.spmv(empty, [one, one], out=np.full(2, 5, dtype=np.int64)).tolist() == [
+        tr.zero(s)
+    ] * 2
+
+
+def test_spmv_refuses_a_wrong_out_before_writing():
+    a = tr.from_triplets(4, 4, SAMPLE4_TRIPLETS, SemiringId.MAXPLUS)
+    for out in (
+        np.full(4, 9, dtype=np.int32),
+        np.full(4, 9, dtype=np.float64),
+        np.full(3, 9, dtype=np.int64),
+        np.full(5, 9, dtype=np.int64),
+        np.full((1, 4), 9, dtype=np.int64),
+    ):
+        with pytest.raises(ValueError, match="out must be"):
+            tr.spmv(a, [0, 0, 0, 0], out=out)
+        with pytest.raises(ValueError, match="out must be"):
+            tr.spmv_instrumented(a, [0, 0, 0, 0], out=out)
+        assert (out == 9).all()
+    with pytest.raises(ValueError, match="out must be"):
+        tr.spmv(a, [0, 0, 0, 0], out=[9] * 4)
+
+
 def test_spmm_matches_dense():
     rng = random.Random(2)
     for s in ALL:

@@ -9,6 +9,7 @@ on all five semirings, with duplicates, empty rows, rectangular shapes,
 sentinels and values near the finite limits.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -98,6 +99,10 @@ def test_spmv_matches_the_reference_and_counts_nnz(s, data):
     assert y == tr.matvec_reference(tr.to_dense(a), x, s)
     assert mults == a.nnz
     assert tr.spmv(a, x) == y
+    # into a buffer of stale values: empty rows are overwritten with zero(s)
+    out = np.array(data.draw(st.lists(values(s), min_size=rows, max_size=rows)), dtype=np.int64)
+    assert tr.spmv(a, x, out=out) is out
+    assert out.tolist() == y
 
 
 def relax_oracle(rows, source, s):
