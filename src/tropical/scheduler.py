@@ -8,9 +8,11 @@ which is the usual finish-to-start reading.
 Earliest start times are the least solution of s = b (+) (s vecmat A) over
 max-plus, b the ready times (Baccelli, Cohen, Olsder & Quadrat 1992). On an
 acyclic edge set it is solved by forward substitution, one topological
-level at a time, as a level-scheduled triangular solve: one ``vecmat`` per
-level, written into one int64 buffer with ``out=``, multiplies the rows of
-that level's tasks, whose starts are final, so each task's row is
+level at a time, as a level-scheduled triangular solve. One pass of Kahn's
+algorithm (``structure.levels``) both checks the edges for a cycle and gives
+each task's level, the most edges on a path that ends at it. One ``vecmat``
+per level, written into one int64 buffer with ``out=``, multiplies the rows
+of that level's tasks, whose starts are final, so each task's row is
 multiplied once. ``iterations`` reports the rounds that
 Jacobi relaxation from b would run. Feedback edges (declared for cyclic,
 repeating systems) are excluded from this solve; they only enter the
@@ -178,17 +180,16 @@ def _constraint_matrix(n: int, src, dst, lag) -> DenseMatrix:
 def _check_acyclic(g: TaskGraph, src, dst) -> np.ndarray:
     """Reject a cycle among the non-feedback edges, naming every task on a
     cycle or downstream of one (the tasks no topological order can place).
-    Returns the tasks' Tarjan labels, each task its own component."""
-    labels = structure.components(g.n, src, dst)
-    cyclic = structure.cyclic(labels, src, dst)
-    if cyclic.any():
-        stuck = structure.downstream(labels, src, dst, cyclic)[labels]
+    Returns each task's level, the most edges on a path that ends at it."""
+    level = structure.levels(g.n, src, dst)
+    stuck = np.flatnonzero(level < 0)
+    if stuck.size:
         raise CycleInAcyclicGraphError(
             "precedence constraints contain a cycle "
             "(declare feedback edges for cyclic systems)",
-            vertices=tuple(np.flatnonzero(stuck).tolist()),
+            vertices=tuple(stuck.tolist()),
         )
-    return labels
+    return level
 
 
 def solve(g: TaskGraph, start_time: int = 0) -> ScheduleResult:
@@ -197,7 +198,8 @@ def solve(g: TaskGraph, start_time: int = 0) -> ScheduleResult:
         raise ValueError("task graph has no tasks")
     start_time = operator.index(start_time)
     src, dst, lag = _edges(g)
-    order = structure.edge_order(_check_acyclic(g, src, dst), src)
+    level = _check_acyclic(g, src, dst)
+    order = np.argsort(level[src], kind="stable")  # a topological order
     src, dst, lag = src[order], dst[order], lag[order]
     if lag.max(initial=0) > POS_INF:
         raise _wide_lag(g, include_feedback=False)
@@ -208,7 +210,7 @@ def solve(g: TaskGraph, start_time: int = 0) -> ScheduleResult:
     # where no predecessor lifts the start to 0 or more, and there the start
     # stays below 0 whatever that ready time is: -1 stands for all of them
     floor = np.array([max(r, -1) for r in ready], dtype=np.int64)
-    start = _forward_substitute(floor, a, _levels(g.n, src, dst))
+    start = _forward_substitute(floor, a, level)
     low = np.flatnonzero(start < 0)
     if low.size:
         raise SaturationError(f"start of task {g.names[low[0]]!r} is below 0")
@@ -230,25 +232,13 @@ def solve(g: TaskGraph, start_time: int = 0) -> ScheduleResult:
     return result
 
 
-def _levels(n: int, src, dst) -> list[np.ndarray]:
-    """The tasks of each level, level by level. A task's level is the most
-    edges on a path that ends at it; the edges come in a topological order,
-    so each source's level is final before its out-edges are read."""
-    level = [0] * n
-    for u, v in zip(src.tolist(), dst.tolist()):
-        if level[v] <= level[u]:
-            level[v] = level[u] + 1
-    level = np.array(level)
-    by_level = np.argsort(level, kind="stable")
-    return np.split(by_level, np.cumsum(np.bincount(level))[:-1])
-
-
-def _forward_substitute(floor: np.ndarray, a: DenseMatrix, levels) -> np.ndarray:
+def _forward_substitute(floor: np.ndarray, a: DenseMatrix, level: np.ndarray) -> np.ndarray:
     """x = floor (+) x vecmat A, level by level. Every predecessor of a task
     lies on a lower level, so the starts of a level are final once the levels
     below it are multiplied: one vecmat per level but the last, its vector
     holding that level's starts and NEG_INF elsewhere, multiplies each
     task's row once. Every product is written into one int64 buffer."""
+    levels = np.split(np.argsort(level, kind="stable"), np.cumsum(np.bincount(level))[:-1])
     start = floor.copy()
     x = np.full(floor.size, NEG_INF, dtype=np.int64)
     y = np.empty(floor.size, dtype=np.int64)

@@ -243,16 +243,6 @@ def spmv(
     a: CsrMatrix, x: Sequence[int], out: np.ndarray | None = None
 ) -> list[int] | np.ndarray:
     """y_i = (+)_{stored j in row i} values (x) x[col]; O(nnz) multiplies.
-    With ``out`` (see ``spmv_instrumented``) y is written into it and out is
-    returned; else y is a new list."""
-    y, _ = spmv_instrumented(a, x, out)
-    return y
-
-
-def spmv_instrumented(
-    a: CsrMatrix, x: Sequence[int], out: np.ndarray | None = None
-) -> tuple[list[int] | np.ndarray, int]:
-    """spmv plus the exact count of semiring multiplications performed.
 
     A gather of x, the (x), and a segment reduction over the non-empty rows;
     empty rows get zero(s). Min-plus and max-plus run on the wide encoding
@@ -279,7 +269,14 @@ def spmv_instrumented(
         nonempty = np.flatnonzero(ptr[1:] != ptr[:-1])
         fold = add.reduceat(prod, ptr[nonempty])
         y[nonempty] = _decode(fold, s) if wide else fold
-    return (y.tolist() if out is None else y), a.nnz
+    return y.tolist() if out is None else y
+
+
+def spmv_instrumented(
+    a: CsrMatrix, x: Sequence[int], out: np.ndarray | None = None
+) -> tuple[list[int] | np.ndarray, int]:
+    """spmv plus its count of semiring multiplications, one per stored entry."""
+    return spmv(a, x, out), a.nnz
 
 
 # Products of one spmm block: a run of whole rows of A (or one row) whose

@@ -1,5 +1,6 @@
 """Graph structure on edge lists: strongly connected components, the
-topological order of their condensation, and reachability.
+topological order of their condensation, reachability, and the levels of a
+DAG.
 
 A graph is n vertices and two equal-length integer arrays ``src`` and
 ``dst``, one entry per edge; duplicate edges and self-loops are allowed.
@@ -9,7 +10,8 @@ topological order: every edge between two components runs from the higher
 label to the lower one, so visiting labels from the highest down is a
 topological order of the condensation. ``reach``, the 0/1 Boolean closure,
 visits them from the lowest up, so a component's successors are done before
-it (Purdom 1970; Nuutila 1995).
+it (Purdom 1970; Nuutila 1995). ``levels`` is one pass of Kahn's algorithm
+(Kahn 1962): the longest-path level of every vertex no cycle reaches.
 """
 
 from __future__ import annotations
@@ -92,27 +94,28 @@ def cyclic(labels: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return out
 
 
-def edge_order(labels: np.ndarray, src: np.ndarray) -> np.ndarray:
-    """Indices of the edges by falling source label, ties in edge-list order:
-    a topological order of the condensation: an edge into a component from
-    another comes before every edge out of it."""
-    return np.argsort(-labels[src], kind="stable")
-
-
-def downstream(
-    labels: np.ndarray, src: np.ndarray, dst: np.ndarray, marked: np.ndarray
-) -> np.ndarray:
-    """Per component: True iff it is marked or reachable from a marked one.
-
-    Edges are visited by falling source label, a topological order of the
-    condensation, so a component's flag is final before its out-edges are.
-    """
-    out = marked.copy()
-    order = edge_order(labels, src)
-    for u, v in zip(labels[src[order]].tolist(), labels[dst[order]].tolist()):
-        if out[u]:
-            out[v] = True
-    return out
+def levels(n: int, src, dst) -> np.ndarray:
+    """Level of every vertex (int64): the most edges on a path that ends at
+    it, or -1 for a vertex on a cycle (self-loops included) or downstream of
+    one. Kahn's algorithm: a vertex is released once every edge into it, a
+    duplicate once per copy, has been scanned, and its level is final then;
+    out-edges are scanned in the order of release, a topological order."""
+    succ, ptr = _adjacency(n, src, dst)
+    succ, ptr = succ.tolist(), ptr.tolist()
+    indegree = np.bincount(np.asarray(dst, dtype=np.int64), minlength=n)
+    released = np.flatnonzero(indegree == 0).tolist()
+    indegree = indegree.tolist()
+    level = [0] * n
+    for u in released:
+        up = level[u] + 1
+        for v in succ[ptr[u] : ptr[u + 1]]:
+            if level[v] < up:
+                level[v] = up
+            indegree[v] -= 1
+            if not indegree[v]:
+                released.append(v)
+    # a vertex left with an unscanned in-edge was never released
+    return np.where(np.array(indegree) > 0, -1, np.array(level, dtype=np.int64))
 
 
 def reach(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:

@@ -105,10 +105,6 @@ def test_components_are_mutual_reachability_classes(graph):
     # a component is cyclic iff one of its vertices has an edge back into it
     back = [any(reach[v][u] for x, v, *_ in edges if x == u) for u in range(n)]
     assert structure.cyclic(labels, src, dst)[labels].tolist() == back
-    marked = structure.cyclic(labels, src, dst)
-    below = reach[np.flatnonzero(marked[labels])].any(axis=0)
-    below_marked = structure.downstream(labels, src, dst, marked)[labels]
-    assert below_marked.tolist() == below.tolist()
 
 
 @PROPERTY

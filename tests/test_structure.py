@@ -1,6 +1,7 @@
 """Property tests for ``structure``: the strongly connected components against
-scipy's, and ``reach``, the 0/1 Boolean closure by condensation, against
-``closure_reference``.
+scipy's, ``reach``, the 0/1 Boolean closure by condensation, against
+``closure_reference``, and ``levels``, Kahn's longest-path levels, against
+scipy's strong components and a scalar longest-path relaxation.
 
 ``reach`` rests on two facts about ``components``: the labels partition the
 vertices into mutual reachability classes, and every edge between two
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 import tropical as tr
 from tropical import DenseMatrix, SemiringId, structure
@@ -164,3 +165,38 @@ def test_reach_of_a_dense_matrix_reads_its_entries_under_s():
     rows = [[POS_INF, 3, POS_INF], [POS_INF, POS_INF, 0], [POS_INF, POS_INF, POS_INF]]
     want = [[1, 1, 1], [0, 1, 1], [0, 0, 1]]
     assert tr.reachability(DenseMatrix(rows), SemiringId.MINPLUS).to_rows() == want
+
+
+# -- levels -----------------------------------------------------------------------
+
+def check_levels(n, src, dst):
+    level = structure.levels(n, src, dst)
+    assert level.dtype == np.int64 and level.shape == (n,)
+    # stuck: reachable from a strong component of scipy's that holds a cycle
+    a = coo_matrix((np.ones(src.size), (src, dst)), shape=(n, n)).tocsr()
+    _, comp = connected_components(a, directed=True, connection="strong")
+    cyclic = np.bincount(comp)[comp] > 1
+    cyclic[src[src == dst]] = True
+    stuck = np.isfinite(shortest_path(a, unweighted=True)[cyclic]).any(axis=0)
+    assert (level < 0).tolist() == stuck.tolist()
+    # elsewhere: the most edges on a path that ends at the vertex, found by
+    # n rounds of scalar relaxation over the edges between such vertices
+    live = [(u, v) for u, v in zip(src.tolist(), dst.tolist()) if not (stuck[u] or stuck[v])]
+    want = [0] * n
+    for _ in range(n):
+        for u, v in live:
+            want[v] = max(want[v], want[u] + 1)
+    assert level[~stuck].tolist() == np.array(want)[~stuck].tolist()
+    # so every edge between two of them goes up a level
+    assert all(level[v] > level[u] for u, v in live)
+    return level
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("n", SIZES)
+def test_levels_are_longest_paths_and_mark_what_cycles_reach(shape, n):
+    src, dst = draw_graph(shape, n, 2000 * n + SHAPES.index(shape))
+    check_levels(n, src, dst)
+    # the same edges, duplicates kept, each turned toward the higher id: a DAG
+    lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+    assert (check_levels(n, lo[lo != hi], hi[lo != hi]) >= 0).all()
