@@ -18,8 +18,10 @@ certificate, or whose potentials could leave int64 (m * (q*max|w| + |p|)
 recurrence D[k][v] (the heaviest k-edge walk from a fixed source) that hold
 two rows at a time, with the value max_v min_k (D[m][v] - D[k][v]) / (m - k)
 compared on integer parts, remainders and Fractions. Memory is O(n + m) for
-n vertices and m edges; no array grows with the square of a component. The
-comparison of components uses Fraction, so floats never decide a maximum.
+n vertices and m edges; no array grows with the square of a component. Means
+compare on integer parts, then as Fractions, so floats never decide a maximum.
+The critical graph comes from the same certificate: ``critical_vertices``
+keeps the edges that X makes tight in the components of maximum mean.
 
 Each function takes a ``DenseMatrix`` or a max-plus ``CsrMatrix`` and reads
 it as one edge list, the entries above NEG_INF; ``eigenvector`` multiplies on
@@ -117,38 +119,51 @@ def _max_cycle_mean_edges(n: int, src, dst, w) -> CycleMean | None:
     """``max_cycle_mean`` of the graph on n vertices with edges
     (src[i], dst[i]) weighing w[i] (int64 arrays of int32-range weights,
     duplicates allowed)."""
+    try:
+        vertices, _, _, _, _, lam, top, _, _ = _cycle_means(n, src, dst, w)
+    except NoCycleError:
+        return None
+    strong = len(top) == 1 and len(vertices) == n
+    return CycleMean(lam.numerator, lam.denominator, strongly_connected=strong)
+
+
+def _cycle_means(n: int, src, dst, w):
+    """The cyclic vertices in component order with their component, the
+    edges inside components on ids 0..k-1, the maximum cycle mean lambda,
+    the components of mean lambda, the certified ones and X; or NoCycleError."""
     labels = structure.components(n, src, dst)
     cyclic = structure.cyclic(labels, src, dst)
     if not cyclic.any():
-        return None
+        raise NoCycleError("graph has no cycle")
     # number the vertices of the cyclic components 0..k-1, component by
     # component, and keep the edges inside them, sorted by source
     vertices = np.flatnonzero(cyclic[labels])
     vertices = vertices[np.argsort(labels[vertices], kind="stable")]
+    k = len(vertices)
     ids = np.empty(n, dtype=np.int64)
-    ids[vertices] = np.arange(len(vertices))
+    ids[vertices] = np.arange(k)
     keep = (labels[src] == labels[dst]) & cyclic[labels[src]]
     src, dst, w = ids[src[keep]], ids[dst[keep]], w[keep]
     edges = np.argsort(src, kind="stable")
     src, dst, w = src[edges], dst[edges], w[edges]
     # Howard runs on all components at once; a component whose value it
     # cannot certify goes to the rolling Karp
-    comp = labels[vertices]
-    firsts = np.flatnonzero(np.r_[True, comp[1:] != comp[:-1]])
-    p, q, certified = _certify(firsts, src, dst, w, *_howard(len(comp), src, dst, w))
-    # |p| <= m * 2**31 and the certificate's m * |p| < 2**62 keep |p| below
-    # 2**47, so p / q is correctly rounded and the exact maximum holds the
-    # largest float
-    mean = np.where(certified, p / q, -np.inf)
-    top = np.flatnonzero(certified & (mean == mean.max()))
-    means = [Fraction(int(p[i]), int(q[i])) for i in top.tolist()]
-    ends = np.r_[firsts[1:], len(comp)]
+    firsts = np.flatnonzero(np.diff(labels[vertices], prepend=-1))
+    p, q, certified, x = _certify(firsts, src, dst, w, *_howard(k, src, dst, w))
+    ends = np.r_[firsts[1:], k]
     for i in np.flatnonzero(~certified).tolist():
         lo, hi = firsts[i], ends[i]
         e0, e1 = np.searchsorted(src, [lo, hi])
-        means.append(_karp(int(hi - lo), src[e0:e1] - lo, dst[e0:e1] - lo, w[e0:e1]))
-    best = max(means)
-    return CycleMean(best.numerator, best.denominator, strongly_connected=not labels.any())
+        mean = _karp(int(hi - lo), src[e0:e1] - lo, dst[e0:e1] - lo, w[e0:e1])
+        p[i], q[i] = mean.numerator, mean.denominator
+    # p/q is now each component's exact mean in lowest terms; a component
+    # below the largest integer part is below the maximum
+    whole = p // q
+    best = whole == whole.max()
+    lam = max(map(Fraction, p[best].tolist(), q[best].tolist()))
+    top = (p == lam.numerator) & (q == lam.denominator)
+    part = np.repeat(np.arange(len(firsts)), ends - firsts)
+    return vertices, part, src, dst, w, lam, top, certified, x
 
 
 # policy improvements before Howard's policy goes to the certificate as it is
@@ -253,8 +268,8 @@ def _policy_walks(succ: np.ndarray, c: np.ndarray):
 
 def _certify(firsts, src, dst, w, policy, root, dist, total):
     """Per component (its vertices start at ``firsts``), the exact mean
-    lambda = p/q of its best cycle of the policy, and whether integer
-    potentials prove lambda maximal.
+    lambda = p/q of its best cycle of the policy and whether integer
+    potentials prove lambda maximal; and per vertex, those potentials X.
 
     X = q*total - p*dist is the weight of each policy walk to its root under
     w' = q*w - p. When X[src] >= w' + X[dst] on every edge, any cycle,
@@ -289,7 +304,7 @@ def _certify(firsts, src, dst, w, policy, root, dist, total):
     pv, qv = p[part], q[part]
     x = qv * total - pv * dist
     tight = x[src] >= qv[src] * w - pv[src] + x[dst]
-    return p, q, bounded & np.logical_and.reduceat(tight, edge_runs)
+    return p, q, bounded & np.logical_and.reduceat(tight, edge_runs), x
 
 
 def _karp(m: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> Fraction:
@@ -338,31 +353,35 @@ def _karp(m: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> Fraction:
 def critical_vertices(a: Matrix) -> frozenset[int]:
     """Vertices lying on a cycle whose mean equals the maximum cycle mean.
 
-    With lambda = p/q, no cycle of the weights w' = q*w - p is positive and
-    the critical ones weigh 0. Potentials pi, the heaviest walks from an
-    all-zero start, lie in [0, n*q*2**32], so relax's NEG_INF marker stays
-    free. A cycle is critical iff all of its edges are tight (pi_u + w' ==
-    pi_v; Baccelli, Cohen, Olsder & Quadrat 1992): the critical vertices
-    are those in the cyclic components of the tight subgraph.
+    With lambda = p/q, no cycle of w' = q*w - p is positive; the critical
+    ones weigh 0 and lie in components of mean lambda. Under potentials pi
+    with pi_u + w' <= pi_v there, a cycle is critical iff all its edges are
+    tight (Baccelli, Cohen, Olsder & Quadrat 1992), so the critical vertices
+    are those in the cyclic components of the tight subgraph. pi starts as
+    the certificate's -X, a fixed point that ``relax`` ends in one round, or
+    0 on a Karp component, which relaxes to its heaviest walks; a shift to a
+    least pi of 0 per component keeps pi above the product's NEG_INF floor.
+    Where certified, |X| < 2**62 keeps pi < 2**63 and every sum in int64; on
+    a Karp component of m vertices pi < m*q*2**32 is not checked.
     """
-    n = a.rows
-    src, dst, w = _edge_list(a)
-    lam = _max_cycle_mean_edges(n, src, dst, w)
-    if lam is None:
-        raise NoCycleError("graph has no cycle")
-    w = lam.denominator * w - lam.numerator
+    core = _cycle_means(a.rows, *_edge_list(a))
+    vertices, part, src, dst, w, lam, top, certified, x = core
+    keep = top[part[src]]
+    src, dst, w = src[keep], dst[keep], lam.denominator * w[keep] - lam.numerator
+    pi = np.where(certified[part], -x, 0)
+    pi -= np.minimum.reduceat(pi, np.searchsorted(part, np.arange(len(top))))[part]
 
-    def product(x):
-        live = x[src] != NEG_INF
-        out = np.full(n, NEG_INF, dtype=np.int64)
-        np.maximum.at(out, dst[live], x[src[live]] + w[live])
+    def product(d):
+        live = d[src] != NEG_INF
+        out = np.full(len(d), NEG_INF, dtype=np.int64)
+        np.maximum.at(out, dst[live], d[src[live]] + w[live])
         return out
 
-    pi, _, _ = relax(np.zeros(n, dtype=np.int64), product, SemiringId.MAXPLUS, n)
+    pi, _, _ = relax(pi, product, SemiringId.MAXPLUS, len(pi))
     tight = pi[src] + w == pi[dst]
     src, dst = src[tight], dst[tight]
-    labels = structure.components(n, src, dst)
-    return frozenset(np.flatnonzero(structure.cyclic(labels, src, dst)[labels]).tolist())
+    labels = structure.components(len(pi), src, dst)
+    return frozenset(vertices[structure.cyclic(labels, src, dst)[labels]].tolist())
 
 
 def eigenvector(

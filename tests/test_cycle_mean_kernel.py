@@ -6,8 +6,10 @@ Both paths must give the scalar Karp oracle's value on multi-component
 graphs, whichever path each component takes: the test lowers the round cap
 (``_HOWARD_ROUNDS``) and the certificate's magnitude limit
 (``_CERTIFY_LIMIT``) to send components to the fallback, and counts the
-components each path settles. Memory is bounded by a ``tracemalloc`` peak,
-not by the clock.
+components each path settles. ``critical_vertices`` must give the Floyd
+sweep's set on both paths, and on certified input its relaxation must end
+after one round, counted through a wrapper of ``relax``. Memory is bounded
+by a ``tracemalloc`` peak, not by the clock.
 """
 
 import tracemalloc
@@ -18,9 +20,9 @@ from hypothesis import given, settings, strategies as st
 
 import spectral_oracle as oracle
 import tropical as tr
-from tropical import scheduler, spectral
+from tropical import bench, scheduler, spectral
 from tropical.semiring import FINITE_MAX, FINITE_MIN, SemiringId
-from test_spectral_properties import maxplus_matrix
+from test_spectral_properties import check_critical_vertices, maxplus_matrix
 
 # tie-heavy, small, and extreme weights (with a few small ones between)
 WEIGHTS = {
@@ -69,9 +71,9 @@ def test_both_paths_match_the_scalar_karp(monkeypatch):
     certify, karp = spectral._certify, spectral._karp
 
     def counted_certify(*args):
-        p, q, certified = certify(*args)
+        p, q, certified, x = certify(*args)
         paths[setting[0]]["certified"] += int(certified.sum())
-        return p, q, certified
+        return p, q, certified, x
 
     def counted_karp(*args):
         paths[setting[0]]["fallback"] += 1
@@ -101,6 +103,33 @@ def test_both_paths_match_the_scalar_karp(monkeypatch):
     assert all(p["certified"] > 0 and p["fallback"] > 0 for p in paths[1:])
 
 
+def test_critical_vertices_match_the_floyd_sweep_on_both_paths(monkeypatch):
+    # a certified component seeds the relaxation with its potentials, a
+    # Karp component with zeros; the lowered settings send some to Karp
+    fallback = [0] * len(KERNELS)
+    setting = [0]
+    karp = spectral._karp
+
+    def counted_karp(*args):
+        fallback[setting[0]] += 1
+        return karp(*args)
+
+    monkeypatch.setattr(spectral, "_karp", counted_karp)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(sorted(WEIGHTS)).flatmap(lambda k: blocked_graphs(WEIGHTS[k])))
+    def check(graph):
+        a = maxplus_matrix(*graph)
+        for setting[0], kernel in enumerate(KERNELS):
+            with monkeypatch.context() as patch:
+                for name, value in kernel.items():
+                    patch.setattr(spectral, name, value)
+                check_critical_vertices(a)
+
+    check()
+    assert fallback[0] == 0 and all(fallback[1:])
+
+
 def test_components_whose_float_means_tie_compare_exactly():
     # rings of 4,095 and 4,096 vertices of means 2**30 + 1/4095 and
     # 2**30 + 1/4096, which round to the same float
@@ -128,8 +157,8 @@ def test_an_optimal_first_policy_is_certified_without_improving(monkeypatch):
     assert spectral._max_cycle_mean_edges(3, src, dst, w) == Fraction(3, 2)
 
 
-def ring(n: int, rng: np.random.Generator):
-    w = rng.integers(-100, 101, size=n)
+def ring(n: int, rng: np.random.Generator, weight: int = 100):
+    w = rng.integers(-weight, weight + 1, size=n)
     edges = np.column_stack((np.arange(n), (np.arange(n) + 1) % n, w))
     return tr.from_triplets(n, n, edges, SemiringId.MAXPLUS), Fraction(int(w.sum()), n)
 
@@ -151,6 +180,29 @@ def test_ring_cycle_mean_needs_no_square_table():
     lam, peak = peak_of(lambda: tr.max_cycle_mean(a))
     assert lam == mean and lam.strongly_connected
     assert peak < 16 * MiB
+
+
+def test_certified_potentials_settle_the_relaxation_in_one_round(monkeypatch):
+    # the certificate's potentials are a fixed point of critical_vertices'
+    # relaxation; from zeros the ring takes 4,096 rounds and the graph 47
+    rounds = []
+    relax = spectral.relax
+
+    def counted_relax(*args):
+        d, frontier, k = relax(*args)
+        rounds.append(k)
+        return d, frontier, k
+
+    monkeypatch.setattr(spectral, "relax", counted_relax)
+    a, _ = ring(4096, np.random.default_rng(27), weight=1000)
+    assert tr.critical_vertices(a) == frozenset(range(4096))
+    g = bench.random_eig_graph(1024, np.random.default_rng(0))
+    critical = tr.critical_vertices(g)
+    assert rounds == [1, 1]
+    # the same graph through Karp relaxes from zeros to the same set
+    monkeypatch.setattr(spectral, "_CERTIFY_LIMIT", 0)
+    assert tr.critical_vertices(g) == critical
+    assert rounds[2] > 1
 
 
 def layered_feedback_graph(tasks=5000, preds=3, window=50, feedback=8, seed=21):
