@@ -7,11 +7,12 @@ their own. Two implementations exist for the heavy kernels:
   sweep share one wide encoding of min-plus and max-plus: int64, with the
   zero held as +-2^61 and decoded (entries beyond +-2^60 to the zero, the
   rest clipped to the finite range) once per result. The closure first tries
-  narrower encodings (int32, int16 order codes) where they are exact, and
-  runs a narrow sweep of a few hundred rows or more on every CPU the
-  process may use, bit-identical to one thread. The 0/1 Boolean closure
-  runs no sweep: it is ``structure.reach`` on the edge list, by condensation
-  of the strongly connected components into packed bit rows; and
+  narrower encodings (int16 capped at 2^14 - 1 for one-signed min-plus /
+  max-plus, int32, int16 order codes) where they are exact, and runs a
+  narrow sweep of a few hundred rows or more on every CPU the process may
+  use, bit-identical to one thread. The 0/1 Boolean closure runs no sweep:
+  it is ``structure.reach`` on the edge list, by condensation of the
+  strongly connected components into packed bit rows; and
 * ``*_reference`` scalar kernels (plain Python triple loops over the scalar
   semiring operations).
 
@@ -367,24 +368,36 @@ def _closure_kernel(a: DenseMatrix, s: SemiringId) -> np.ndarray:
     for its input, and every chunked update of every sweep goes through one
     helper, ``_rank1``:
 
-    * Min-plus / max-plus (``_closure_plus``) run on int32 when
-      (n - 1) * B <= 2^28, where B is the largest |v| over the entries that
-      differ from zero(s). The zero is held as +Z (min-plus) or -Z
-      (max-plus), Z = 3 * 2^28, and an entry beyond the cut 2^28 decodes to
-      zero(s). Before the first divergent pass every stored value is an
-      optimal path over intermediates < k, so a path of real edges lies
-      within +-(n - 1) * B (inside the cut), and a path through a Z edge has
-      |value| >= Z - (n - 2) * B (beyond the cut); the real one always wins,
-      every sum stays within 2Z < 2^31, and no sum reaches the saturation
-      range of the scalar loop. So the sweep needs neither a clip nor a
-      saturation check. At the first divergent pass k (min-plus D_kk < 0,
-      max-plus D_kk > 0) it stops, and ``_wide_sweep`` resumes at pass k
-      from that state, decoded and re-encoded by ``_encode``: int64 with
-      the zero held as -/+_WIDE, a saturation check per pass, and the
-      scalar order replayed in stages for each divergent pass. Up to pass k
-      the wide sweep would have held the same finite values, since none of
-      its sums saturates either. Inputs the bound rejects are swept wide
-      from pass 0.
+    * Min-plus / max-plus (``_closure_plus``) with every entry that differs
+      from zero(s) one-signed and inside the cap C = 2^14 - 1 (min-plus
+      0 <= v < C, max-plus -C < v <= 0) run on int16 (``_closure_capped``),
+      zero(s) held as C (-C). On one-signed values x -> min(x, C) (max-plus
+      max(x, -C)) is a semiring homomorphism that also absorbs the scalar
+      loop's clip and sentinel, and D_kk stays 0, so no pass diverges and
+      the in-place sweep is the algebraic one: the sweep returns min(d, C)
+      for every pair, with every sum within +-2C = +-32766 and no clip. An
+      entry inside the cap is exact. Where entries sit at the cap,
+      ``structure.reach`` on the edges tells the pairs without a path,
+      which become zero(s); a pair with a path at the cap sends the input
+      to the int32 path below.
+    * Min-plus / max-plus that the capped path does not take, or gives
+      back, run on int32 when (n - 1) * B <= 2^28, where B is the largest
+      |v| over the entries that differ from zero(s). The zero is held as
+      +Z (min-plus) or -Z (max-plus), Z = 3 * 2^28, and an entry beyond the
+      cut 2^28 decodes to zero(s). Before the first divergent pass every
+      stored value is an optimal path over intermediates < k, so a path of
+      real edges lies within +-(n - 1) * B (inside the cut), and a path
+      through a Z edge has |value| >= Z - (n - 2) * B (beyond the cut); the
+      real one always wins, every sum stays within 2Z < 2^31, and no sum
+      reaches the saturation range of the scalar loop. So the sweep needs
+      neither a clip nor a saturation check. At the first divergent pass k
+      (min-plus D_kk < 0, max-plus D_kk > 0) it stops, and ``_wide_sweep``
+      resumes at pass k from that state, decoded and re-encoded by
+      ``_encode``: int64 with the zero held as -/+_WIDE, a saturation check
+      per pass, and the scalar order replayed in stages for each divergent
+      pass. Up to pass k the wide sweep would have held the same finite
+      values, since none of its sums saturates either. Inputs the bound
+      rejects are swept wide from pass 0.
     * Max-min / min-max only compare values, so any strictly increasing
       recoding commutes with the sweep. When the finite values span at most
       _CODE_SPAN, they are shifted around their midpoint into int16 codes
@@ -396,13 +409,13 @@ def _closure_kernel(a: DenseMatrix, s: SemiringId) -> np.ndarray:
       the edges from the nonzero entries. Other Boolean input sweeps
       bitwise on int32 (& and | do not commute with a recoding).
 
-    The int32 sweep of at least 288 rows and the int16 one of at least 576
-    run on every CPU the process may use (``_sweep``): each block of pivots
-    first on its own rows, then on the other rows in worker threads. Every
-    row still takes its passes in order, each from itself and the pivot row
-    as that pass found it, so the result, and the state handed to
-    ``_wide_sweep``, are those of one thread bit for bit. The wide sweep and
-    ``matmul`` stay on one thread.
+    The int32 sweep of at least 288 rows and the int16 ones (order codes or
+    capped) of at least 576 run on every CPU the process may use
+    (``_sweep``): each block of pivots first on its own rows, then on the
+    other rows in worker threads. Every row still takes its passes in
+    order, each from itself and the pivot row as that pass found it, so the
+    result, and the state handed to ``_wide_sweep``, are those of one thread
+    bit for bit. The wide sweep and ``matmul`` stay on one thread.
     """
     if a.rows != a.cols:
         raise ValueError("closure requires a square matrix")
@@ -455,7 +468,13 @@ def _rank1(block, col, row, s: SemiringId, step: int, buf, clip=False) -> None:
 # 17.5 -> 15.7; int16 n = 448 19.4 -> 20.4, n = 512 27.5 -> 27.9, n = 576
 # 41.5 -> 34.8. Shorter passes lose more to GIL hand-offs than they gain.
 # Back to back, n = 1024 took 528 -> 265 ms (int32) and 188 -> 97 ms
-# (int16). Blocks of 8, 32 and 64 pivots were no faster than 16. The pool
+# (int16). Blocks of 8, 32 and 64 pivots were no faster than 16. The capped
+# min-plus int16 sweep, timed in process with the floor lifted (median of
+# 15-21 sweeps alternating one and two workers, graphs of 16n edges): n =
+# 448 19.6 -> 24.0 ms, 512 28.0 -> 33.6, 576 40.7 -> 43.9; max-min in the
+# same runs 24.4 -> 31.2, 29.7 -> 36.1, 58.0 -> 63.7. On that host the two
+# threads often ran on one vCPU (min-plus n = 1024 read 245 -> 135 ms in one
+# run, 237 -> 215 in a later one), so those figures move no floor. The pool
 # is made at the first threaded sweep, so an import starts no thread.
 _WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -570,13 +589,19 @@ _NARROW_CUT = 2**28
 
 
 def _closure_plus(arr: np.ndarray, s: SemiringId) -> np.ndarray:
-    """Min-plus / max-plus closure: the int32 sweep while the bound holds and
-    no pass diverges, the wide sweep from the first pass where either fails."""
+    """Min-plus / max-plus closure: the capped int16 sweep on one-signed input
+    whose entries lie inside the cap, unless a reachable pair sits at the
+    cap; else the int32 sweep while the bound holds and no pass diverges,
+    the wide sweep from the first pass where either fails."""
     n = arr.shape[0]
     minplus = s is SemiringId.MINPLUS
     live = arr != sr.zero(s)
-    bound = max(-int(arr.min(where=live, initial=0)), int(arr.max(where=live, initial=0)))
-    if (n - 1) * bound > _NARROW_CUT:
+    lo, hi = int(arr.min(where=live, initial=0)), int(arr.max(where=live, initial=0))
+    if (0 <= lo and hi < _CAP) if minplus else (-_CAP < lo and hi <= 0):
+        d = _closure_capped(arr, live, s)
+        if d is not None:
+            return d
+    if (n - 1) * max(-lo, hi) > _NARROW_CUT:
         return _wide_sweep(_encode(arr, s), s, 0)
     d = np.where(live, arr, _NARROW_ZERO if minplus else -_NARROW_ZERO)
     done = _sweep(d, s, 0)
@@ -585,6 +610,30 @@ def _closure_plus(arr: np.ndarray, s: SemiringId) -> np.ndarray:
         return d
     # every pass before the divergent one left its own D_jj at 0
     return _wide_sweep(_encode(d, s), s, int(np.flatnonzero(np.diagonal(d))[0]))
+
+
+# Cap of the int16 plus-semiring sweep: one-signed entries strictly inside
+# +-_CAP, and zero(s) held at it, sum to at most 2 * _CAP = 32766 in
+# magnitude (see _closure_kernel).
+_CAP = 2**14 - 1
+
+
+def _closure_capped(arr: np.ndarray, live: np.ndarray, s: SemiringId) -> np.ndarray | None:
+    """Min-plus closure of entries in [0, _CAP) (max-plus: (-_CAP, 0]) with
+    zero(s) held as _CAP (-_CAP), on int16; None when a reachable pair
+    ends at the cap, whose value the codes do not hold."""
+    n = arr.shape[0]
+    cap = _CAP if s is SemiringId.MINPLUS else -_CAP
+    codes = np.where(live, arr, cap).astype(np.int16)
+    _sweep(codes, s, 0)
+    d = codes.astype(_I32)
+    at_cap = codes == cap
+    if at_cap.any():
+        # an entry at the cap is a path of weight +-_CAP or beyond, or none
+        if structure.reach(n, *np.divmod(np.flatnonzero(live), n))[at_cap].any():
+            return None
+        d[at_cap] = sr.zero(s)
+    return d
 
 
 def _wide_sweep(w: np.ndarray, s: SemiringId, start: int) -> np.ndarray:

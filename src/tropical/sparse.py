@@ -198,8 +198,11 @@ def edges(a: DenseMatrix | CsrMatrix, s: SemiringId):
     if isinstance(a, CsrMatrix):
         check_bound(a, s)
         return _coo_rows(a), a.col_idx.astype(_I64), a.values.astype(_I64)
-    src, dst = np.nonzero(a._arr != sr.zero(s))
-    return src, dst, a._arr[src, dst].astype(_I64)
+    # a 1-D nonzero split by divmod keeps the row-major order, and is the
+    # fast one
+    flat = np.flatnonzero(a._arr != sr.zero(s))
+    src, dst = np.divmod(flat, a.cols)
+    return src, dst, np.take(a._arr, flat).astype(_I64)
 
 
 def check_bound(a: CsrMatrix, s: SemiringId) -> None:

@@ -1,6 +1,10 @@
 """Property tests for the narrow-dtype closure sweeps.
 
-Min-plus / max-plus run on int32 when (n - 1) * B <= 2^28, B the largest
+Min-plus / max-plus with every entry that differs from zero(s) one-signed
+(>= 0 under min-plus, <= 0 under max-plus) and inside C = 2^14 - 1 in
+magnitude run on int16, capped at C; if a pair that has a path ends at the
+cap, the int32 path below runs from the input. Otherwise min-plus / max-plus
+run on int32 when (n - 1) * B <= 2^28, B the largest
 |v| over the entries that differ from zero(s), and fall back to the wide
 int64 sweep when that bound fails or a pass diverges. Max-min / min-max run
 on int16 order codes when the finite values span at most 65,533. A 0/1
@@ -24,6 +28,7 @@ from sweep_runs import RUNS, sweep_run
 PLUS = (SemiringId.MINPLUS, SemiringId.MAXPLUS)
 ORDER = (SemiringId.MAXMIN, SemiringId.MINMAX)
 CUT = 2**28
+CAP = 2**14 - 1
 SPAN = 65533
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -70,6 +75,18 @@ def narrow(rows, s):
 
 def wide_only(rows, s):
     assert closure_paths(rows, s) == ([], 1)
+
+
+def capped(rows, s):
+    assert closure_paths(rows, s) == ([("int16", True)], 0)
+
+
+def one_signed(rows, s):
+    """Every entry that differs from zero(s) is >= 0 (min-plus) or <= 0
+    (max-plus)."""
+    sign = 1 if s is SemiringId.MINPLUS else -1
+    z = tr.zero(s)
+    return all(sign * v >= 0 for row in rows for v in row if v != z)
 
 
 def chain(n, w, s):
@@ -151,7 +168,13 @@ def potential_graph(draw, n, s):
 @given(data=st.data())
 def test_negative_weights_without_divergent_cycles(s, data):
     n = data.draw(st.integers(1, 10))
-    narrow(potential_graph(data.draw, n, s), s)
+    rows = potential_graph(data.draw, n, s)
+    # one-signed draws (n = 1, or every potential equal) take the capped
+    # int16 sweep: their paths are far below the cap
+    if one_signed(rows, s):
+        capped(rows, s)
+    else:
+        narrow(rows, s)
 
 
 @pytest.mark.parametrize("s", PLUS)
@@ -286,8 +309,101 @@ def test_sentinel_heavy_plus(s, data):
     sweeps, wide = closure_paths(rows, s)
     if n > 1 and any(other in row for row in rows):
         assert (sweeps, wide) == ([], 1)
+    elif one_signed(rows, s):
+        assert (sweeps, wide) == ([("int16", True)], 0)
     else:
         assert sweeps == [("int32", wide == 0)]
+
+
+# -- one-signed plus input: int16 capped at C = 2^14 - 1 ------------------------
+
+def capped_paths(rows, s):
+    """The paths of one-signed rows: int32 when an entry reaches the cap;
+    else the int16 sweep, then the int32 one from the input when a pair
+    with a path has a distance at or past the cap."""
+    z = tr.zero(s)
+    if any(abs(v) >= CAP for row in rows for v in row if v != z):
+        return [("int32", True)], 0
+    want = tr.closure_reference(DenseMatrix(rows), s).to_rows()
+    if any(abs(v) >= CAP for row in want for v in row if v != z):
+        return [("int16", True), ("int32", True)], 0
+    return [("int16", True)], 0
+
+
+@pytest.mark.parametrize("s", PLUS)
+@PROPERTY
+@given(data=st.data())
+def test_one_signed_weights_at_the_cap(s, data):
+    # weights of one sign up to a top of C - 2, C - 1 or C, often the top
+    # itself, on a sparse random graph or a DAG, whose pairs against its
+    # order have no path
+    sign = 1 if s is SemiringId.MINPLUS else -1
+    n = data.draw(st.integers(1, 10))
+    top = data.draw(st.sampled_from([CAP - 2, CAP - 1, CAP]))
+    weight = st.one_of(st.just(top), st.integers(0, top)).map(lambda w: sign * w)
+    z = tr.zero(s)
+    if data.draw(st.booleans()):
+        rows, _, _ = dag(data.draw, n, s, weight)
+    else:
+        entry = st.one_of(st.just(z), st.just(z), weight)
+        rows = data.draw(st.lists(
+            st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n
+        ))
+    assert closure_paths(rows, s) == capped_paths(rows, s)
+    # Warshall's reachability: exactly the pairs without a path are zero(s)
+    reach = [[i == j or v != z for j, v in enumerate(row)] for i, row in enumerate(rows)]
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                reach[i] = [a or b for a, b in zip(reach[i], reach[k])]
+    got = dense._closure_kernel(DenseMatrix(rows), s).tolist()
+    assert [[v != z for v in row] for row in got] == reach
+
+
+@pytest.mark.parametrize("s", PLUS)
+@pytest.mark.parametrize("past", (0, 1))
+def test_a_chain_totalling_the_cap(s, past):
+    # three edges of 5,461 total C; one of 5,460 makes C - 1, the one
+    # distance in the chain that the int16 codes still hold. At C the int16
+    # sweep ends with a reachable pair at the cap and int32 runs from the
+    # input
+    sign = 1 if s is SemiringId.MINPLUS else -1
+    rows = chain(4, sign * 5461, s)
+    rows[0][1] -= sign * (1 - past)
+    if past:
+        assert closure_paths(rows, s) == ([("int16", True), ("int32", True)], 0)
+    else:
+        capped(rows, s)
+    assert tr.closure_reference(DenseMatrix(rows), s).get(0, 3) == sign * (CAP - 1 + past)
+
+
+@pytest.mark.parametrize("s", PLUS)
+@pytest.mark.parametrize("w", (0, 1, CAP - 1, CAP, None))
+def test_one_vertex_near_the_cap(s, w):
+    # a loop of weight w (None: no loop), one-signed for s; weight C
+    # leaves the capped path
+    sign = 1 if s is SemiringId.MINPLUS else -1
+    rows = [[tr.zero(s) if w is None else sign * w]]
+    if w == CAP:
+        narrow(rows, s)
+    else:
+        capped(rows, s)
+
+
+@pytest.mark.parametrize("s", PLUS)
+def test_zero_weight_cycles_run_capped(s):
+    # a ring 0 -> 1 -> 2 -> 3 -> 0 of weight-0 edges, an edge of +-(C - 1)
+    # from it to a 2-cycle 4 <-> 5 of 0, and an isolated vertex 6: every
+    # D_kk stays 0, and the pairs without a path come back as zero(s)
+    sign = 1 if s is SemiringId.MINPLUS else -1
+    z = tr.zero(s)
+    rows = [[z] * 7 for _ in range(7)]
+    rows[0][1] = rows[1][2] = rows[2][3] = rows[3][0] = rows[4][5] = rows[5][4] = 0
+    rows[3][4] = sign * (CAP - 1)
+    capped(rows, s)
+    got = tr.closure_reference(DenseMatrix(rows), s)
+    assert got.get(0, 5) == sign * (CAP - 1) and got.get(5, 0) == z and got.get(0, 6) == z
+    capped([[0] * 7 for _ in range(7)], s)
 
 
 # -- max-min / min-max order codes, Boolean --------------------------------------

@@ -114,8 +114,8 @@ def test_each_pass_reads_the_pivot_row_as_that_pass_found_it(s, monkeypatch):
     # the other rows take pass k from pivot row k as the scalar loop held it
     # after pass k, not as later passes of the block left it; a complete
     # graph of weights 1..20 (negated for max-plus) holds no zero(s), so the
-    # int32 sweep holds the values themselves, and its later passes do
-    # rewrite earlier pivot rows
+    # capped int16 sweep holds the values themselves, and its later passes
+    # do rewrite earlier pivot rows
     sign = 1 if s is SemiringId.MINPLUS else -1
     rows = (sign * np.random.default_rng(4).integers(1, 21, size=(9, 9))).tolist()
     threaded(monkeypatch, 2, 3)
@@ -173,17 +173,33 @@ def test_the_floor_and_one_worker_keep_one_block(s, monkeypatch):
 def test_the_default_floor_is_bit_identical_to_one_worker(monkeypatch):
     # the constants as shipped, on inputs past the floor: an int32 min-plus
     # graph whose first divergent pass (a 2-cycle through 100 and 201) falls
-    # inside a block, a convergent max-plus graph, and an int16 max-min one
+    # inside a block, a convergent max-plus graph kept on int32 by one weight
+    # past the int16 cap, and an int16 max-min and a capped int16 min-plus one
     rng = np.random.default_rng(11)
     cases = []
-    for s, n in ((SemiringId.MINPLUS, 300), (SemiringId.MAXPLUS, 320), (SemiringId.MAXMIN, 576)):
-        assert n >= dense._THREAD_FLOOR["int16" if s is SemiringId.MAXMIN else "int32"]
+    for s, n, dtype in (
+        (SemiringId.MINPLUS, 300, "int32"),
+        (SemiringId.MAXPLUS, 320, "int32"),
+        (SemiringId.MAXMIN, 576, "int16"),
+        (SemiringId.MINPLUS, 576, "int16"),
+    ):
+        assert n >= dense._THREAD_FLOOR[dtype]
         arr = rng.integers(1, 1000, size=(n, n)) * (-1 if s is SemiringId.MAXPLUS else 1)
         cases.append((s, np.where(rng.random((n, n)) < 0.9, tr.zero(s), arr)))
     cases[0][1][100, 201], cases[0][1][201, 100] = 5, -6
+    cases[1][1][5, 7] = -(2**14)
     monkeypatch.setattr(dense, "_WORKERS", 2)
     calls = spy_passes(monkeypatch)
+    dtypes = []
+    sweep = dense._sweep
+
+    def spy(d, *rest):
+        dtypes.append(d.dtype.name)
+        return sweep(d, *rest)
+
+    monkeypatch.setattr(dense, "_sweep", spy)
     got = [dense._closure_kernel(DenseMatrix(arr), s) for s, arr in cases]
+    assert dtypes == ["int32", "int32", "int16", "int16"]
     assert {k1 for k0, k1, _, _ in calls if k1 - k0 < dense._BLOCK} == {201}
     monkeypatch.setattr(dense, "_WORKERS", 1)
     for (s, arr), g in zip(cases, got):
@@ -244,7 +260,8 @@ def test_import_starts_no_thread_and_the_first_threaded_sweep_makes_the_pool():
         "dense._WORKERS = 2\n"
         "dense._closure_kernel(DenseMatrix([[0] * 8] * 8), SemiringId.MINPLUS)\n"
         "print(threading.active_count(), dense._POOL is None)\n"
-        "dense._closure_kernel(DenseMatrix([[0] * 300] * 300), SemiringId.MINPLUS)\n"
+        # one weight past the int16 cap keeps the 300-row sweep on threaded int32
+        "dense._closure_kernel(DenseMatrix([[0] * 299 + [2**14]] * 300), SemiringId.MINPLUS)\n"
         "print(threading.active_count(), 'concurrent.futures' in sys.modules)\n"
     )
     proc = run_python(script)
@@ -260,7 +277,10 @@ def test_a_forked_child_makes_its_own_pool():
         "import numpy as np\n"
         "from tropical import DenseMatrix, SemiringId, dense\n"
         "dense._WORKERS = 2\n"
-        "a = DenseMatrix(np.arange(300 * 300).reshape(300, 300) % 97 + 1)\n"
+        "w = np.arange(300 * 300).reshape(300, 300) % 97 + 1\n"
+        # one weight past the int16 cap keeps the 300-row sweep on threaded int32
+        "w[0, 1] = 2**14\n"
+        "a = DenseMatrix(w)\n"
         "want = dense._closure_kernel(a, SemiringId.MINPLUS)\n"
         "assert dense._POOL is not None\n"
         "pid = os.fork()\n"
