@@ -1,22 +1,19 @@
 """CSR sparse matrices bound to a semiring.
 
-Structural invariants, maintained by every constructor and by spmm:
-row_ptr non-decreasing with row_ptr[0] == 0 and row_ptr[rows] == nnz; column
-indices strictly increasing within each row; no stored value ever equals the
-semiring zero (the sparsity pattern is exactly the support).
-
-Every CSR but a transpose, spmm's blocks included, comes from one
-coordinate (COO) assembly: it sorts the entries by (row, column) key, folds
-duplicates with the semiring addition (``reduceat``), drops zeros when
-there are any and counts rows with ``bincount``. ``transpose`` starts from
-entries that are sorted, unique and non-zero already, so it takes one sort
-of their (column, row) keys and a ``bincount``; ``graph.sssp`` builds its
-A^T that way and keeps ``spmv`` as the round product. The reverse
-direction, ``edges``, is the one edge-list view of a dense or CSR matrix for
-every reader, and ``to_dense`` the one layout of a CSR as a grid: the dense
-graph parse and the closures take their grids from it. ``spmv`` reduces
-over ``row_ptr`` segments. None of them loops
-over rows in Python.
+Structural invariants: row_ptr non-decreasing with row_ptr[0] == 0 and
+row_ptr[rows] == nnz; column indices strictly increasing within each row;
+no stored value ever equals the semiring zero (the sparsity pattern is
+exactly the support). ``CsrMatrix(...)`` checks them on the arrays a caller
+hands it. The library's own CSRs are assembled in one place, ``_assemble``,
+from per-row counts and arrays that hold them already: the coordinate (COO)
+assembly behind ``from_triplets``, ``from_dense`` and each ``spmm`` block
+(sort by (row, column) key, fold duplicates with ``reduceat``, drop zeros,
+``bincount`` the rows), ``transpose`` (one sort of the (column, row) keys of
+entries that are sorted, unique and non-zero already), and the join of
+``spmm``'s blocks. The reverse direction, ``edges``, is the one edge-list
+view of a dense or CSR matrix for every reader, and ``to_dense`` the one
+layout of a CSR as a grid. ``spmv`` reduces over ``row_ptr`` segments. None
+of them loops over rows in Python.
 """
 
 from __future__ import annotations
@@ -148,9 +145,19 @@ def _from_coo(rows: int, cols: int, i, j, v, s: SemiringId) -> CsrMatrix:
     if zero.any():
         keep = ~zero
         i, j, v = i[keep], j[keep], v[keep]
-    row_ptr = np.zeros(rows + 1, dtype=_I64)
-    np.cumsum(np.bincount(i, minlength=rows), out=row_ptr[1:])
-    return CsrMatrix(rows, cols, v.astype(_I32), j.astype(_U32), row_ptr.astype(_U32), s)
+    return _assemble(rows, cols, np.bincount(i, minlength=rows), j, v, s)
+
+
+def _assemble(rows, cols, counts, col_idx, values, s: SemiringId) -> CsrMatrix:
+    """CSR of arrays the library made, which hold the invariants already:
+    row pointers from the per-row entry counts, the storage dtypes, and no
+    validation (the CSR twin of ``DenseMatrix._wrap``)."""
+    a = object.__new__(CsrMatrix)
+    a.rows, a.cols, a.semiring = int(rows), int(cols), s
+    a.values, a.col_idx = values.astype(_I32, copy=False), col_idx.astype(_U32, copy=False)
+    a.row_ptr = np.zeros(a.rows + 1, dtype=_U32)
+    np.cumsum(counts, out=a.row_ptr[1:])
+    return a
 
 
 def from_triplets(
@@ -165,6 +172,8 @@ def from_triplets(
     whose (combined) value equals the semiring zero are dropped. Boolean
     inputs are normalized to {0, 1} here, at the construction boundary.
     """
+    if rows < 1 or cols < 1:
+        raise ValueError("matrix must have at least one row and one column")
     if not isinstance(entries, np.ndarray):
         entries = list(entries)
     t = _integers(entries)
@@ -226,20 +235,15 @@ def to_dense(a: CsrMatrix) -> DenseMatrix:
 
 
 def transpose(a: CsrMatrix) -> CsrMatrix:
-    """A^T in CSR form (the CSC layout of a).
-
-    A's entries are sorted, unique and non-zero already, so nothing folds
-    or drops: one argsort of their (column, row) keys orders the entries of
-    A^T, and a bincount of the columns gives its row pointers.
-    """
+    """A^T in CSR form (the CSC layout of a). A's entries are sorted, unique
+    and non-zero already, so nothing folds or drops: one argsort of their
+    (column, row) keys orders A^T's entries; a bincount of the columns
+    counts its rows."""
     row = _coo_rows(a)
     col = a.col_idx.astype(_I64)
     order = np.argsort(col * a.rows + row)
-    row_ptr = np.zeros(a.cols + 1, dtype=_I64)
-    np.cumsum(np.bincount(col, minlength=a.cols), out=row_ptr[1:])
-    return CsrMatrix(
-        a.cols, a.rows, a.values[order], row[order].astype(_U32), row_ptr.astype(_U32), a.semiring
-    )
+    counts = np.bincount(col, minlength=a.cols)
+    return _assemble(a.cols, a.rows, counts, row[order], a.values[order], a.semiring)
 
 
 def spmv(
@@ -319,11 +323,9 @@ def spmm(a: CsrMatrix, b: CsrMatrix) -> CsrMatrix:
             np.clip(v, sr.FINITE_MIN, sr.FINITE_MAX, out=v)
         blocks.append(_from_coo(r1 - r0, b.cols, arow[pa] - r0, b.col_idx[pb].astype(_I64), v, s))
         r0 = r1
-    row_ptr = np.zeros(a.rows + 1, dtype=_I64)
-    np.cumsum(np.concatenate([np.diff(c.row_ptr.astype(_I64)) for c in blocks]), out=row_ptr[1:])
-    values = np.concatenate([c.values for c in blocks])
+    counts = np.concatenate([np.diff(c.row_ptr) for c in blocks])
     col_idx = np.concatenate([c.col_idx for c in blocks])
-    return CsrMatrix(a.rows, b.cols, values, col_idx, row_ptr.astype(_U32), s)
+    return _assemble(a.rows, b.cols, counts, col_idx, np.concatenate([c.values for c in blocks]), s)
 
 
 def memory_bytes(a: CsrMatrix) -> int:

@@ -6,7 +6,9 @@ one relaxation loop over frontier vectors for dense and CSR input; and
 ``parse_graph`` converts tokens in bulk, falling back to a line-by-line parse
 for errors. Each test compares one of them with a plain scalar definition,
 on all five semirings, with duplicates, empty rows, rectangular shapes,
-sentinels and values near the finite limits.
+sentinels and values near the finite limits. The CSRs the library assembles
+skip the checks ``CsrMatrix(...)`` runs on caller arrays, so one test runs
+those checks on the result of every constructor.
 """
 
 import numpy as np
@@ -86,6 +88,53 @@ def test_transpose_of_empty_rows_and_columns(s):
     assert a.nnz == 3
     assert_transpose(a)
     assert_transpose(tr.from_triplets(1, 6, [(0, 5, one)], s))
+
+
+def assert_stored(a, s):
+    """a holds the invariants CsrMatrix(...) checks on caller arrays, in its
+    storage dtypes, with dimensions that are Python ints."""
+    a._validate()
+    assert (a.values.dtype, a.col_idx.dtype, a.row_ptr.dtype) == (np.int32, np.uint32, np.uint32)
+    assert type(a.rows) is int and type(a.cols) is int
+    assert a.semiring is s
+
+
+@pytest.mark.parametrize("s", ALL)
+@PROPERTY
+@given(data=st.data())
+def test_every_csr_the_library_builds_is_valid(s, data):
+    # the library assembles its own CSRs without CsrMatrix's checks, so each
+    # constructor's result must pass them here: on repeated coordinates,
+    # empty rows, one cell whose duplicates fold to zero(s) and Boolean
+    # values beyond 0 and 1
+    rows, cols, inner = (data.draw(st.integers(1, 7)) for _ in range(3))
+    z = tr.zero(s)
+    cell = (data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1)))
+    entries = [e for e in triplets(data.draw, s, rows, cols) if e[:2] != cell]
+    entries += [(*cell, z), (*cell, z)]
+    a = tr.from_triplets(rows, cols, entries, s)
+    assert tr.to_dense(a).to_rows()[cell[0]][cell[1]] == z
+    assert_stored(a, s)
+    # an array of triplets, and a shape of numpy integers
+    shape = np.int64(rows), np.int64(cols)
+    c = tr.from_triplets(*shape, np.array(entries, dtype=np.int64), s)
+    assert_stored(c, s)
+    assert c == a
+    grid = data.draw(st.lists(st.lists(values(s), min_size=cols, max_size=cols),
+                              min_size=rows, max_size=rows))
+    assert_stored(tr.from_dense(tr.DenseMatrix(grid), s), s)
+    assert_stored(sparse.transpose(a), s)
+    b = tr.from_triplets(cols, inner, triplets(data.draw, s, cols, inner), s)
+    # one block for the whole product, and blocks of one row or 3 products
+    for block in (sparse._SPMM_BLOCK, 1, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sparse, "_SPMM_BLOCK", block)
+            assert_stored(tr.spmm(a, b), s)
+    lines = [f"{rows} {cols} {len(entries)} {tr.semiring.TOKEN_OF[s]}"]
+    lines += [f"{i} {j} {v}" for i, j, v in entries]
+    parsed, _ = tr.parse_graph("\n".join(lines) + "\n", sparse=True)
+    assert_stored(parsed, s)
+    assert parsed == a
 
 
 @pytest.mark.parametrize("s", ALL)
