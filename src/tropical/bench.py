@@ -19,14 +19,14 @@ with one add and one max, kept so that MOPS compares across runs;
 ``max_cycle_mean`` itself runs Howard policy iteration (a few rounds over
 the edges and an exact certificate, with a rolling two-row Karp only where
 the certificate fails) in O(n + m) memory. ``eig`` times it on the CSR form
-of the graph, the form the CLI parses a graph file into, while its
+of the graph, the form ``parse_graph`` returns, while its
 ``checksum`` is that of the dense grid, laid out once before the
 repetitions. ``eigvec`` times ``spectral.eigenvector`` on the same CSR
 graph and its eigenvalue, computed once before the repetitions, and counts
 2m per power-iteration step over the steps it runs. ``render`` times the
 --json text of an n x n matrix
 (``io.format_array``), and its MOPS counts the n^2 values rendered per
-microsecond. ``parse`` times ``io.parse_graph(text, sparse=True)`` on the graph-file
+microsecond. ``parse`` times ``io.parse_graph`` into CSR on the graph-file
 text of the ``sssp`` graph's edge records as drawn (``graph_text``), with
 their duplicate (u, v) pairs kept, so the parse folds them as it does for a
 generated input file; its MOPS counts the edge records read per
@@ -324,7 +324,7 @@ def run_bench(
         u, v, w = graph_edges(n, s, rng)
         text = graph_text(n, s, u, v, w)
         checksum = zlib.crc32(text.encode())
-        work = lambda: parse_graph(text, sparse=True)[0]
+        work = lambda: parse_graph(text)[0]
         ops = len(w)
     elif op == "matmul":
         a = _operand(n, s, rng, kind)

@@ -55,7 +55,7 @@ def _load_graph(path: str, closure_guard: int | None = None, what: str = "closur
     check = None
     if closure_guard is not None:
         check = lambda rows, cols: _guard_closure(rows, cols, closure_guard, what)
-    return tio.parse_graph(_read_file(path), sparse=True, check_shape=check)
+    return tio.parse_graph(_read_file(path), check_shape=check)
 
 
 def _guard_closure(rows: int, cols: int, guard: int, what: str = "closure") -> None:

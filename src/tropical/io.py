@@ -17,14 +17,15 @@ the semiring zero. Schedule files::
     cyclic                          marks the graph cyclic explicitly;
                                     takes no arguments
 
-Task ids must be dense 0..n-1. Every integer field is ASCII ``-?[0-9]+``.
+Task ids must be dense 0..n-1. Every integer field is ASCII ``-?[0-9]+``,
+no longer than ``int()`` converts (4,300 digits by default).
 
 Lines end where ``str.splitlines`` ends them. The header is the first line
 that is neither blank nor a comment; only the lines up to it are split, and
 the rest of the text, from the header's line break on, is the body. Edge
 records are read into an (m, 3) int64 array, which ``from_triplets``, the
-one COO assembly, turns into CSR; a dense result is ``to_dense`` of that
-CSR, so both forms fold, drop and normalize entries by one rule. A plain
+one COO assembly, turns into the CSR that ``parse_graph`` returns; a caller
+that needs the grid lays it out with ``sparse.to_dense``. A plain
 body (ASCII digits, '-', spaces, tabs and '\n', '\r\n' or '\r' line breaks,
 each record starting its line and its fields one blank apart) is checked
 and converted as byte arrays; any other body, and every error, goes through
@@ -49,7 +50,7 @@ from . import semiring as sr
 from .errors import GraphParseError
 from .scheduler import TaskGraph
 from .semiring import NEG_INF, POS_INF, SemiringId
-from .sparse import edges, from_triplets, to_dense
+from .sparse import edges, from_triplets
 
 # the integer grammar of every numeric field: ASCII digits with an optional
 # minus sign (int() alone also takes '+5', '1_000' and non-ASCII digits)
@@ -70,25 +71,28 @@ def _parse_weight(tok: str, lineno: int) -> int:
         return POS_INF
     if tok == "-inf":
         return NEG_INF
-    if not _INT.fullmatch(tok):
-        raise GraphParseError(f"weight {tok!r} is not an integer or inf/-inf", lineno)
-    w = int(tok)
+    w = _parse_int(tok, "weight", lineno, "an integer or inf/-inf")
     if not NEG_INF <= w <= POS_INF:
         raise GraphParseError(f"weight {w} outside the 32-bit range", lineno)
     return w
 
 
-def _parse_int(tok: str, what: str, lineno: int) -> int:
+def _parse_int(tok: str, what: str, lineno: int, grammar: str = "an integer") -> int:
     if not _INT.fullmatch(tok):
-        raise GraphParseError(f"{what} {tok!r} is not an integer", lineno)
-    return int(tok)
+        raise GraphParseError(f"{what} {tok!r} is not {grammar}", lineno)
+    try:
+        return int(tok)
+    except ValueError:  # past int()'s digit limit, 4,300 digits by default
+        raise GraphParseError(
+            f"{what} of {len(tok)} characters is past int()'s digit limit", lineno
+        ) from None
 
 
-def parse_graph(text: str, sparse: bool = False, check_shape=None):
-    """Parse a graph file into (DenseMatrix | CsrMatrix, SemiringId).
+def parse_graph(text: str, check_shape=None):
+    """Parse a graph file into (CsrMatrix, SemiringId).
 
-    The records always assemble into CSR through ``from_triplets``; with
-    ``sparse=False`` the result is ``to_dense`` of that CSR.
+    The records assemble into CSR through ``from_triplets``, in O(n + m)
+    memory; ``sparse.to_dense`` of the result is the grid.
 
     ``check_shape(rows, cols)``, when given, runs once the header is read and
     before any edge is parsed or any matrix storage is built; it refuses a
@@ -126,8 +130,7 @@ def parse_graph(text: str, sparse: bool = False, check_shape=None):
         edges = _parse_lines(body.splitlines(), lineno, rows, cols)
     if len(edges) != m:
         raise GraphParseError(f"header declares {m} edges but file has {len(edges)}")
-    csr = from_triplets(rows, cols, edges, s)
-    return (csr if sparse else to_dense(csr)), s
+    return from_triplets(rows, cols, edges, s), s
 
 
 # the line breaks of str.splitlines

@@ -1,7 +1,9 @@
 import random
 import re
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tropical as tr
 from tropical import NEG_INF, POS_INF, DenseMatrix, GraphParseError, SemiringId
@@ -13,34 +15,44 @@ P, N = POS_INF, NEG_INF
 def test_parse_graph_known_file(fixtures):
     m, s = tr.parse_graph((fixtures / "chain3_minplus.graph").read_text())
     assert s is SemiringId.MINPLUS
-    assert m.to_rows() == [
+    assert isinstance(m, tr.CsrMatrix)
+    assert m.semiring is SemiringId.MINPLUS
+    assert m.nnz == 3
+    assert tr.to_dense(m).to_rows() == [
         [POS_INF, 2, 7],
         [POS_INF, POS_INF, 3],
         [POS_INF, POS_INF, POS_INF],
     ]
 
 
-def test_parse_graph_sparse_flag(fixtures):
-    m, s = tr.parse_graph((fixtures / "chain3_minplus.graph").read_text(), sparse=True)
+def test_parse_graph_builds_no_grid():
+    # a header of 5,000 vertices and one edge record: O(n + m) memory, where
+    # an n x n grid of int32 would take 95 MiB
+    tracemalloc.start()
+    try:
+        m, s = tr.parse_graph("5000 1 minplus\n0 1 5\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert isinstance(m, tr.CsrMatrix)
-    assert m.semiring is SemiringId.MINPLUS
-    assert m.nnz == 3
+    assert (m.rows, m.cols, m.nnz, s) == (5000, 5000, 1, SemiringId.MINPLUS)
+    assert peak < 1 << 20
 
 
 def test_parse_empty_edge_list():
     m, s = tr.parse_graph("2 0 maxplus\n")
-    assert m == DenseMatrix.filled(2, 2, NEG_INF)
+    assert tr.to_dense(m) == DenseMatrix.filled(2, 2, NEG_INF)
 
 
 def test_parse_duplicate_edges_combined():
     m, _ = tr.parse_graph("2 2 maxplus\n0 1 4\n0 1 6\n")
-    assert m.get(0, 1) == 6
+    assert tr.to_dense(m).get(0, 1) == 6
     m2, _ = tr.parse_graph("2 2 minplus\n0 1 4\n0 1 6\n")
-    assert m2.get(0, 1) == 4
+    assert tr.to_dense(m2).get(0, 1) == 4
 
 
 def test_parse_inf_tokens():
-    m, _ = tr.parse_graph("2 2 maxmin\n0 1 inf\n1 0 -inf\n")
+    m = tr.to_dense(tr.parse_graph("2 2 maxmin\n0 1 inf\n1 0 -inf\n")[0])
     assert m.get(0, 1) == POS_INF
     # -inf equals the max-min zero, so the entry stays absent
     assert m.get(1, 0) == NEG_INF
@@ -49,13 +61,13 @@ def test_parse_inf_tokens():
 def test_parse_rectangular_header():
     m, s = tr.parse_graph("2 3 2 maxplus\n0 0 1\n1 2 4\n")
     assert (m.rows, m.cols) == (2, 3)
-    assert m.get(1, 2) == 4
+    assert tr.to_dense(m).get(1, 2) == 4
 
 
 def test_parse_comments_and_blanks():
     text = "# heading\n\n2 1 minplus\n# edge below\n0 1 5\n\n"
     m, _ = tr.parse_graph(text)
-    assert m.get(0, 1) == 5
+    assert tr.to_dense(m).get(0, 1) == 5
 
 
 @pytest.mark.parametrize(
@@ -93,20 +105,20 @@ def test_round_trip_dense():
         m = DenseMatrix(rows)
         text = tr.format_graph(m, s)
         m2, s2 = tr.parse_graph(text)
-        assert s2 is s and m2 == m
+        assert s2 is s and tr.to_dense(m2) == m
         assert tr.format_graph(m2, s2) == text
 
 
 def test_round_trip_sparse_and_rectangular():
     a = tr.from_triplets(2, 4, [(0, 1, 3), (1, 3, -2)], SemiringId.MAXPLUS)
     text = tr.format_graph(a, SemiringId.MAXPLUS)
-    m, s = tr.parse_graph(text, sparse=True)
+    m, s = tr.parse_graph(text)
     assert m == a
     # sentinel weights survive the trip
     b = DenseMatrix([[NEG_INF, POS_INF], [NEG_INF, NEG_INF]])
     text = tr.format_graph(b, SemiringId.MAXPLUS)
     m2, _ = tr.parse_graph(text)
-    assert m2 == b
+    assert tr.to_dense(m2) == b
 
 
 def test_format_graph_writes_a_column_index_equal_to_pos_inf_as_a_number():
@@ -116,7 +128,7 @@ def test_format_graph_writes_a_column_index_equal_to_pos_inf_as_a_number():
     a = tr.from_triplets(1, cols, [(0, POS_INF, 5)], SemiringId.MAXPLUS)
     text = tr.format_graph(a, SemiringId.MAXPLUS)
     assert text == "1 2147483648 1 maxplus\n0 2147483647 5\n"
-    m, s = tr.parse_graph(text, sparse=True)
+    m, s = tr.parse_graph(text)
     assert s is SemiringId.MAXPLUS and m == a
 
 
@@ -170,10 +182,9 @@ def test_integer_grammar_is_ascii_digits(token):
         (f"2 2 minplus\n0 1 5\n\n{token} 0 5\n", 4),
     ]
     for text, line in cases:
-        for sparse in (False, True):
-            with pytest.raises(GraphParseError) as exc:
-                tr.parse_graph(text, sparse=sparse)
-            assert exc.value.line == line
+        with pytest.raises(GraphParseError) as exc:
+            tr.parse_graph(text)
+        assert exc.value.line == line
     for text, line in [
         (f"task 0 a {token}\n", 1),
         (f"task 0 a 5\ntask {token} b 2\n", 2),
@@ -198,17 +209,17 @@ def test_parse_keeps_the_first_error_in_line_order():
 
 def test_parse_inf_weights_comments_and_crlf():
     text = "# g\r\n3 4 maxplus\r\n0 1 inf\r\n# mid\r\n1 2 -inf\r\n\t2 0 -7 \r\n2 0 3\r\n"
-    for sparse in (False, True):
-        m, s = tr.parse_graph(text, sparse=sparse)
-        rows = (tr.to_dense(m) if sparse else m).to_rows()
-        assert rows == [[N, P, N], [N, N, N], [3, N, N]]
+    m, s = tr.parse_graph(text)
+    assert tr.to_dense(m).to_rows() == [[N, P, N], [N, N, N], [3, N, N]]
     # tokens longer than 11 characters are valid when their value is in range
     m, _ = tr.parse_graph("2 1 maxplus\n0 00000000001 -000000000007\n")
-    assert m.to_rows() == [[N, -7], [N, N]]
+    assert tr.to_dense(m).to_rows() == [[N, -7], [N, N]]
 
 
 
 TWO_TASKS = "task 0 a 1\ntask 1 b 2\n"
+TOO_LONG = "9" * 5000  # past int()'s default limit of 4,300 digits
+PAST_LIMIT = "characters is past int()'s digit limit"
 
 
 @pytest.mark.parametrize(
@@ -229,9 +240,15 @@ TWO_TASKS = "task 0 a 1\ntask 1 b 2\n"
         ("schedule", TWO_TASKS + "dep 0 7\n", "line 3: task id 7 out of range (have 2 tasks)"),
         ("schedule", TWO_TASKS + "feedback 1 0 -2\n", "line 3: lag must be non-negative"),
         ("closure", "0 0 minplus\n", "line 1: matrix dimensions must be >= 1"),
+        ("closure", f"# c\n{TOO_LONG} 1 minplus\n", f"line 2: vertex count of 5000 {PAST_LIMIT}"),
+        ("closure", f"2 1 minplus\n0 {TOO_LONG} 5\n", f"line 2: vertex of 5000 {PAST_LIMIT}"),
+        ("closure", f"2 1 minplus\n0 1 -{TOO_LONG}\n", f"line 2: weight of 5001 {PAST_LIMIT}"),
+        ("schedule", f"task 0 a 1\ntask 1 b {TOO_LONG}\n", f"line 2: duration of 5000 {PAST_LIMIT}"),
+        ("schedule", TWO_TASKS + f"dep 0 1 {TOO_LONG}\n", f"line 3: lag of 5000 {PAST_LIMIT}"),
     ],
     ids=["task-arity", "negative-ready", "dep-arity", "feedback-arity", "dep-range",
-         "negative-feedback-lag", "empty-header"],
+         "negative-feedback-lag", "empty-header", "long-header-count", "long-vertex",
+         "long-weight", "long-duration", "long-lag"],
 )
 def test_cli_names_the_line_of_a_bad_record(tmp_path, capsys, command, text, message):
     path = tmp_path / "input"
@@ -246,7 +263,12 @@ def test_cli_names_the_line_of_a_bad_record(tmp_path, capsys, command, text, mes
 def _reference_int(tok, what, lineno):
     if not re.fullmatch(r"-?[0-9]+", tok):
         raise GraphParseError(f"{what} {tok!r} is not an integer", lineno)
-    return int(tok)
+    try:
+        return int(tok)
+    except ValueError:  # past int()'s digit limit
+        raise GraphParseError(
+            f"{what} of {len(tok)} characters is past int()'s digit limit", lineno
+        ) from None
 
 
 def reference_parse_schedule(text):
@@ -436,3 +458,44 @@ def test_a_cyclic_record_with_arguments_is_refused(tmp_path, capsys):
     assert run(["schedule", str(path)]) == 2
     assert capsys.readouterr() == ("", "error: line 3: cyclic record takes no arguments\n")
     assert tr.parse_schedule("task 0 a 1\n  cyclic \n").cyclic
+
+
+@st.composite
+def valid_schedules(draw):
+    """A valid schedule file: task records with ids in a shuffled order, some
+    with a ready time; dep records, some with a lag; feedback records, now
+    and then a cyclic record, all in a shuffled order; comment and blank
+    lines, blanks of several widths and '\\n' or '\\r\\n' breaks."""
+    n = draw(st.integers(1, 8))
+    task = st.integers(0, n - 1).map(str)
+    number = st.sampled_from(["0", "1", "5", "99", "007", str(2**40)])
+    records = []
+    for t in draw(st.permutations(range(n))):
+        name = draw(st.sampled_from(["a", "#x", "task", "dep", f"t{t}", "é"]))
+        ready = draw(st.lists(number, max_size=1))
+        records.append(["task", str(t), name, draw(number)] + ready)
+    for _ in range(draw(st.integers(0, 2 * n))):
+        records.append(["dep", draw(task), draw(task)] + draw(st.lists(number, max_size=1)))
+    for _ in range(draw(st.integers(0, 2))):
+        records.append(["feedback", draw(task), draw(task), draw(number)])
+    if draw(st.booleans()):
+        records.append(["cyclic"])
+    lines = []
+    for fields in draw(st.permutations(records)):
+        lines += draw(st.lists(st.sampled_from(["", "  ", "# note", "\t# task 0 a 1"]), max_size=1))
+        gap = draw(st.sampled_from([" ", "\t", "   "]))
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + gap.join(fields))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=valid_schedules())
+def test_the_column_and_line_parses_build_the_same_graph(text):
+    # parse_schedule sends every valid file to the column parse, so the line
+    # loop's own graph is checked here, on the same valid files
+    from tropical import io as tio
+
+    columns, lines = tio._schedule_columns(text), tio._schedule_lines(text)
+    assert columns is not None, text
+    for attr in ("names", "durations", "ready", "src", "dst", "lag", "feedback", "cyclic"):
+        assert getattr(columns, attr) == getattr(lines, attr), (attr, text)

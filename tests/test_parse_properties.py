@@ -3,14 +3,13 @@
 ``parse_graph`` splits only the lines up to the header and checks a plain
 body as byte arrays; the reference splits the whole text with
 ``str.splitlines`` and reads every record through ``io._parse_lines``. Both
-must give the same matrix and semiring, or the same GraphParseError message
-and line number, on dense and CSR output, whatever the line breaks, layout
-and tokens.
+must give the same CSR and semiring, or the same GraphParseError message
+and line number, whatever the line breaks, layout and tokens.
 
 The matrix itself is checked against an independent definition: a grid of
 zero(s) into which each record folds with the scalar ``semiring.add``, a
-Boolean weight read as ``w != 0``; the CSR parse equals ``from_triplets`` of
-the records.
+Boolean weight read as ``w != 0``, equals ``to_dense`` of the parse, and the
+parse equals ``from_triplets`` of the records.
 """
 
 from unittest import mock
@@ -34,23 +33,22 @@ FILLERS = ["", " ", "\t", "  \t", "# comment", "#0 1 2", " # 1 2 3"]
 SEMIRINGS = ["maxplus", "minplus", "maxmin", "minmax", "boolean"]
 
 
-def outcome(text: str, sparse: bool):
+def outcome(text: str):
     try:
-        return tr.parse_graph(text, sparse=sparse)
+        return tr.parse_graph(text)
     except GraphParseError as exc:
         return "GraphParseError", str(exc), exc.line
 
 
-def line_by_line(text: str, sparse: bool):
+def line_by_line(text: str):
     """The reference: the lines of ``str.splitlines``, re-joined on '\\n',
     with every record parsed by ``_parse_lines``."""
     with mock.patch.object(tio, "_plain_records", lambda body, rows, cols: None):
-        return outcome("\n".join(text.splitlines()), sparse)
+        return outcome("\n".join(text.splitlines()))
 
 
 def assert_same_parse(text: str):
-    for sparse in (False, True):
-        assert outcome(text, sparse) == line_by_line(text, sparse), (text, sparse)
+    assert outcome(text) == line_by_line(text), text
 
 
 @st.composite
@@ -228,5 +226,5 @@ def test_parse_graph_equals_a_scalar_fold_of_the_records(case):
         grid[u][v] = sr.add(grid[u][v], w, s)
     m, got = tr.parse_graph(text)
     assert got is s
-    assert m.to_rows() == grid
-    assert tr.parse_graph(text, sparse=True) == (tr.from_triplets(rows, cols, records, s), s)
+    assert tr.to_dense(m).to_rows() == grid
+    assert m == tr.from_triplets(rows, cols, records, s)

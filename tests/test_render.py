@@ -241,6 +241,7 @@ def library_result(command, paths):
     """The array a command renders, computed by the library, and the
     payload key it is printed under."""
     loaded = [tr.parse_graph(p.read_text()) for p in paths]
+    loaded = [(tr.to_dense(a), s) for a, s in loaded]
     (a, s) = loaded[0]
     if command in ("closure", "apsp"):
         return graph.all_pairs_paths(a, s)._arr, "matrix"

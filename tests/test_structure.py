@@ -141,7 +141,7 @@ def check_reach(n, src, dst, seed=0):
     assert np.array_equal(tr.closure(DenseMatrix(grid(n, src, dst)), SemiringId.BOOLEAN)._arr, want)
     rng = np.random.default_rng(seed)
     for s in SemiringId:
-        csr, parsed = tr.parse_graph(edge_file(n, src, dst, s, rng), sparse=True)
+        csr, parsed = tr.parse_graph(edge_file(n, src, dst, s, rng))
         assert parsed is s and isinstance(csr, tr.CsrMatrix)
         result = tr.reachability(csr)
         assert result._arr.dtype == np.int32
