@@ -15,14 +15,22 @@ P, N = POS_INF, NEG_INF
 def test_parse_graph_known_file(fixtures):
     m, s = tr.parse_graph((fixtures / "chain3_minplus.graph").read_text())
     assert s is SemiringId.MINPLUS
-    assert isinstance(m, tr.CsrMatrix)
-    assert m.semiring is SemiringId.MINPLUS
-    assert m.nnz == 3
     assert tr.to_dense(m).to_rows() == [
         [POS_INF, 2, 7],
         [POS_INF, POS_INF, 3],
         [POS_INF, POS_INF, POS_INF],
     ]
+
+
+def test_parse_graph_sparse_flag(fixtures):
+    # CSR is the one result of a parse; the former sparse option is refused
+    text = (fixtures / "chain3_minplus.graph").read_text()
+    m, s = tr.parse_graph(text)
+    assert isinstance(m, tr.CsrMatrix)
+    assert m.semiring is SemiringId.MINPLUS
+    assert m.nnz == 3
+    with pytest.raises(TypeError, match="sparse"):
+        tr.parse_graph(text, sparse=True)
 
 
 def test_parse_graph_builds_no_grid():
