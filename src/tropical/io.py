@@ -36,13 +36,15 @@ split once and its fields go to the columns of its record kind. Each
 integer column is checked with one regex over its fields joined by blanks
 and converted with one ``map(int, ...)``, the other checks run on whole
 columns, and the TaskGraph's columns are built directly, deps in file order
-and then feedback edges. A file that fails any check is parsed again line
-by line, which raises at the first bad line.
+and then feedback edges; this is the only place a schedule's graph is built.
+A file that fails any check is read again line by line, a pass that builds
+no graph and only raises at the first bad line.
 """
 
 from __future__ import annotations
 
 import re
+from typing import NoReturn
 
 import numpy as np
 
@@ -357,12 +359,14 @@ def parse_schedule(text: str) -> TaskGraph:
     """Parse a schedule file into a TaskGraph.
 
     The records are read in one pass into columns and checked column by
-    column (``_schedule_columns``); a file that fails any check is parsed
-    again line by line (``_schedule_lines``), which names the first bad
-    line.
+    column; ``_schedule_columns`` builds the one graph this returns. A file
+    that fails any check is read again line by line (``_schedule_lines``),
+    which only names the first bad line and builds no graph.
     """
     g = _schedule_columns(text)
-    return _schedule_lines(text) if g is None else g
+    if g is None:
+        _schedule_lines(text)
+    return g
 
 
 # one or more -?[0-9]+ fields, one blank apart: a column joined by blanks
@@ -384,8 +388,7 @@ def _schedule_columns(text: str) -> TaskGraph | None:
     """The TaskGraph of a schedule file, read as columns: each content line
     is split once and its fields go to the columns of its record kind, and
     every check runs on a whole column. None when any check fails, so that
-    _schedule_lines names the first bad line; the graph is otherwise the one
-    it builds."""
+    _schedule_lines names the first bad line."""
     tasks, deps, feedbacks = [], [], []
     by_kind = {"task": tasks.append, "dep": deps.append, "feedback": feedbacks.append}
     cyclic = False
@@ -453,12 +456,13 @@ def _edge_columns(records: list[list[str]], shapes: set[int], durations: list[in
     return src, dst, lag
 
 
-def _schedule_lines(text: str) -> TaskGraph:
-    """Parse a schedule file one line at a time; raises at the first bad line."""
-    tasks: dict[int, tuple[str, int, int]] = {}
+def _schedule_lines(text: str) -> NoReturn:
+    """Raise GraphParseError at the first bad line of a schedule file that
+    ``_schedule_columns`` refused; builds no graph. The edges are checked
+    after every record, deps in file order and then feedback edges."""
+    tasks: set[int] = set()
     deps: list[tuple[int, int, int | None, int]] = []
     feedbacks: list[tuple[int, int, int, int]] = []
-    cyclic = False
     for lineno, fields in _tokens(text.splitlines()):
         kind = fields[0]
         if kind == "task":
@@ -475,7 +479,7 @@ def _schedule_lines(text: str) -> TaskGraph:
                 raise GraphParseError("ready time must be non-negative", lineno)
             if tid in tasks:
                 raise GraphParseError(f"duplicate task id {tid}", lineno)
-            tasks[tid] = (fields[2], duration, ready)
+            tasks.add(tid)
         elif kind == "dep":
             if len(fields) not in (3, 4):
                 raise GraphParseError("dep record must be 'dep <from> <to> [lag]'", lineno)
@@ -500,7 +504,6 @@ def _schedule_lines(text: str) -> TaskGraph:
         elif kind == "cyclic":
             if len(fields) != 1:
                 raise GraphParseError("cyclic record takes no arguments", lineno)
-            cyclic = True
         else:
             raise GraphParseError(f"unknown record type {kind!r}", lineno)
     if not tasks:
@@ -508,19 +511,10 @@ def _schedule_lines(text: str) -> TaskGraph:
     n = len(tasks)
     if sorted(tasks) != list(range(n)):
         raise GraphParseError(f"task ids must be dense 0..{n - 1}")
-
-    g = TaskGraph(cyclic=cyclic)
-    for tid in range(n):
-        name, duration, ready = tasks[tid]
-        g.add_task(name, duration, ready)
-    for src, dst, lag, lineno in deps:
-        try:
-            g.add_constraint(src, dst, lag)
-        except ValueError as exc:
-            raise GraphParseError(str(exc), lineno) from None
-    for src, dst, lag, lineno in feedbacks:
-        try:
-            g.add_feedback(src, dst, lag)
-        except ValueError as exc:
-            raise GraphParseError(str(exc), lineno) from None
-    return g
+    for src, dst, lag, lineno in deps + feedbacks:
+        for t in (src, dst):
+            if not 0 <= t < n:
+                raise GraphParseError(f"task id {t} out of range (have {n} tasks)", lineno)
+        if lag is not None and lag < 0:
+            raise GraphParseError("lag must be non-negative", lineno)
+    raise AssertionError("the column pass refused a schedule that passes every check")

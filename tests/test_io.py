@@ -454,6 +454,34 @@ def test_schedule_columns_match_the_line_loop(monkeypatch):
     assert 900 < refused < 1100
 
 
+def line_loop_texts():
+    """The 1,500 texts of test_schedule_columns_match_the_line_loop, drawn
+    from the same generator in the same order."""
+    rng = random.Random(24)
+    kinds = [None] * (len(BAD_RECORDS) // 2) + sorted(BAD_RECORDS)
+    for case in range(1500):
+        bad = [] if kinds[case % len(kinds)] is None else [kinds[case % len(kinds)]]
+        if bad and rng.random() < 0.3:
+            bad.append(rng.choice(sorted(BAD_RECORDS)))
+        yield schedule_text(rng, bad)
+
+
+def test_the_line_pass_calls_no_task_graph_mutator(monkeypatch):
+    # parse_schedule builds its one graph from columns; the line pass of a
+    # refused file only names the first bad line, edge ids and lags included
+    texts = list(line_loop_texts())
+    expected = [outcome(reference_parse_schedule, text) for text in texts]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a TaskGraph mutator was called")
+
+    for name in ("add_task", "add_constraint", "add_feedback"):
+        monkeypatch.setattr(tr.TaskGraph, name, refuse)
+    for text, want in zip(texts, expected):
+        assert outcome(tr.parse_schedule, text) == want, text
+    assert sum(isinstance(want[0], type) for want in expected) > 900
+
+
 def test_a_cyclic_record_with_arguments_is_refused(tmp_path, capsys):
     text = "task 0 a 1\n# the next line was read as cyclic\ncyclic junk 7\n"
     with pytest.raises(GraphParseError) as exc:
@@ -498,12 +526,12 @@ def valid_schedules(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(text=valid_schedules())
-def test_the_column_and_line_parses_build_the_same_graph(text):
-    # parse_schedule sends every valid file to the column parse, so the line
-    # loop's own graph is checked here, on the same valid files
+def test_the_column_parse_builds_the_reference_graph(text):
+    # the columns against the scalar reference, add_* call by add_* call,
+    # on valid files, whose every record reaches the graph
     from tropical import io as tio
 
-    columns, lines = tio._schedule_columns(text), tio._schedule_lines(text)
+    columns, reference = tio._schedule_columns(text), reference_parse_schedule(text)
     assert columns is not None, text
     for attr in ("names", "durations", "ready", "src", "dst", "lag", "feedback", "cyclic"):
-        assert getattr(columns, attr) == getattr(lines, attr), (attr, text)
+        assert getattr(columns, attr) == getattr(reference, attr), (attr, text)
